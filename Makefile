@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-invariants vet lint lint-json race check bench bench-smoke fuzz-smoke robustness-smoke daemon-smoke golden
+.PHONY: all build test test-invariants vet lint lint-json race check bench bench-smoke fuzz-smoke robustness-smoke daemon-smoke perfbench-test golden
 
 all: build
 
@@ -82,6 +82,10 @@ bench-smoke:
 
 # fuzz-smoke gives every fuzz target a short budget (FUZZTIME each) — enough
 # to catch regressions in the parsers and normalizers without tying up CI.
+# FuzzRestore's workers spend a 10s budget minimizing the new inputs they
+# find (up to 60s each by default) and run little beyond the seeds (82
+# execs in 10s on a 2-vCPU host); with minimization capped they run ~700
+# execs a second.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseVote -fuzztime=$(FUZZTIME) ./internal/truth
 	$(GO) test -run='^$$' -fuzz=FuzzParseLabel -fuzztime=$(FUZZTIME) ./internal/truth
@@ -91,7 +95,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSimilarity -fuzztime=$(FUZZTIME) ./internal/dedup
 	$(GO) test -run='^$$' -fuzz=FuzzIntern -fuzztime=$(FUZZTIME) ./internal/truth
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/synth
 	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=$(FUZZTIME) ./internal/serve
 
@@ -104,9 +108,16 @@ robustness-smoke:
 	$(GO) test -run='TestRobustness|TestColluder|TestMetamorphic' -count=1 ./internal/experiments ./internal/depend ./internal/synth
 
 # daemon-smoke boots the real corrod binary on an ephemeral port, bursts a
-# seeded loadgen scenario through the admission queue, SIGTERMs it, and
-# asserts the restart resumes exactly the acknowledged state with clean
-# exit codes throughout — the serving lifecycle of DESIGN.md §15 rehearsed
-# end to end (see scripts/daemon_smoke.sh).
+# seeded loadgen scenario through the admission queue, SIGKILLs it and
+# asserts the restart resumes every acknowledged batch from the base
+# checkpoint plus its log, then SIGTERMs it and asserts a clean drain and
+# restart — the serving lifecycle of DESIGN.md §15 rehearsed end to end
+# (see scripts/daemon_smoke.sh).
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
+
+# perfbench-test vets and tests the benchmark program. perfbench is its own
+# module (replace corroborate => ../), so the root ./... never builds it;
+# this catches a change to an API it calls before the benchmark runs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -250,10 +250,10 @@ func runStream(paths []string, shards int, checkpointPath string, decay *float64
 		if st, report, err = sink.Restore(shards); err != nil {
 			return err
 		}
-		if report.QuarantinedPath != "" {
+		if report.Cause != nil {
 			fmt.Fprintf(os.Stderr,
 				"corroborate: checkpoint %s is corrupt (%v); quarantined to %s, starting fresh\n",
-				checkpointPath, report.Cause, report.QuarantinedPath)
+				checkpointPath, report.Cause, strings.TrimSpace(report.QuarantinedPath+" "+report.QuarantinedLog))
 		}
 		if report.Resumed {
 			fmt.Printf("resumed from %s: %d batches, %d facts already corroborated\n",

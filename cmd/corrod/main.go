@@ -60,7 +60,7 @@ func run() error {
 	decay := flag.Float64("decay", 0, "per-batch exponential trust-decay factor in (0,1); 0 or 1 disables")
 	reqTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request acknowledgment timeout for ingest")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight HTTP requests after drain")
-	readOnlyAfter := flag.Int("read-only-after", 3, "consecutive exhausted checkpoint saves before a tenant degrades to read-only")
+	readOnlyAfter := flag.Int("read-only-after", 3, "consecutive exhausted checkpoint commits before a tenant degrades to read-only")
 	flag.Parse()
 
 	var names []string
@@ -121,9 +121,9 @@ func run() error {
 	for _, name := range names {
 		report := reports[name]
 		switch {
-		case report.QuarantinedPath != "":
+		case report.Cause != nil:
 			fmt.Fprintf(os.Stderr, "corrod: tenant %q checkpoint is corrupt (%v); quarantined to %s, starting fresh\n",
-				name, report.Cause, report.QuarantinedPath)
+				name, report.Cause, strings.TrimSpace(report.QuarantinedPath+" "+report.QuarantinedLog))
 		case report.Resumed:
 			snap := srv.World(name).Snapshot()
 			fmt.Printf("corrod: tenant %q resumed: %d batches, %d facts, %d sources\n",

@@ -34,7 +34,8 @@ type (
 	GroupPanicError = core.GroupPanicError
 	// CheckpointSink is the crash-safe, self-healing home of a stream
 	// checkpoint: fsync-before-rename saves with capped deterministic retry
-	// backoff, and quarantine of corrupt checkpoints on resume.
+	// backoff, per-batch log records appended between saves (Commit), and
+	// quarantine of corrupt checkpoints and logs on resume.
 	CheckpointSink = core.CheckpointSink
 	// Checkpointer is anything a CheckpointSink can save.
 	Checkpointer = core.Checkpointer

@@ -165,16 +165,10 @@ func (st *Stream) encodeLocked() ([]byte, error) {
 	// stream continue byte-identically.
 	for i := 0; i < st.symtab.Len(); i++ {
 		plain, b64 := encodeName(st.symtab.Name(uint32(i)))
-		src := checkpointSource{
-			Name:    plain,
-			NameB64: b64,
-			Credit:  st.state.credit[i],
-			Count:   st.state.count[i],
-		}
-		if st.state.fcount != nil {
-			src.CountF = st.state.fcount[i]
-		}
-		cs.Sources = append(cs.Sources, src)
+		credit, count, countF := st.accumulators(i)
+		cs.Sources = append(cs.Sources, checkpointSource{
+			Name: plain, NameB64: b64, Credit: credit, Count: count, CountF: countF,
+		})
 	}
 	for _, sf := range st.decided {
 		plain, b64 := encodeName(sf.Name)
@@ -193,7 +187,7 @@ func (st *Stream) encodeLocked() ([]byte, error) {
 	env := checkpointEnvelope{
 		Format:   checkpointFormat,
 		Version:  checkpointVersion,
-		Checksum: fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload)),
+		Checksum: checksum(payload),
 		State:    payload,
 	}
 	out, err := json.Marshal(env)
@@ -203,11 +197,32 @@ func (st *Stream) encodeLocked() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
+// accumulators returns source i's credit, integer count and — with trust
+// decay on — decayed mass, as checkpoints and log records carry them.
+// Callers hold st.mu.
+func (st *Stream) accumulators(i int) (credit float64, count int, countF float64) {
+	credit, count = st.state.credit[i], st.state.count[i]
+	if st.state.fcount != nil {
+		countF = st.state.fcount[i]
+	}
+	return credit, count, countF
+}
+
+// checksum is the CRC-32 (IEEE) of a checkpoint state or log record
+// payload, as the 8-digit lower-case hex string both formats carry.
+func checksum(payload []byte) string {
+	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload))
+}
+
 // RestoreStream reads a checkpoint and returns a fresh Stream that
 // continues the checkpointed stream exactly.
 func RestoreStream(r io.Reader) (*Stream, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
 	st := NewStream()
-	if err := restoreInto(st, r); err != nil {
+	if _, err := restoreInto(st, data, nil); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -218,25 +233,39 @@ func RestoreStream(r io.Reader) (*Stream, error) {
 // shard-agnostic: the same checkpoint restores into any shard count (or a
 // plain Stream) with byte-identical continuation.
 func RestoreShardedStream(r io.Reader, shards int) (*ShardedStream, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
 	ss := NewShardedStream(shards)
-	if err := restoreInto(&ss.Stream, r); err != nil {
+	if _, err := restoreInto(&ss.Stream, data, nil); err != nil {
 		return nil, err
 	}
 	return ss, nil
 }
 
-// restoreInto decodes, validates, and installs a checkpoint into st, which
-// must be freshly constructed. Any error leaves st unusable; callers
-// discard it.
-func restoreInto(st *Stream, r io.Reader) error {
-	data, err := io.ReadAll(r)
+// restoreInto decodes a base checkpoint, replays its log (nil for none)
+// onto it, validates the result once, and installs it into st, which must
+// be freshly constructed. It reports whether the log ended in an ignored
+// torn record. Any error leaves st unusable; callers discard it.
+func restoreInto(st *Stream, base, log []byte) (bool, error) {
+	cs, err := parseCheckpoint(base)
 	if err != nil {
-		return fmt.Errorf("core: reading checkpoint: %w", err)
+		return false, err
 	}
-	cs, err := decodeCheckpoint(data)
+	torn, err := cs.replayLog(log)
 	if err != nil {
-		return err
+		return false, fmt.Errorf("core: checkpoint log: %w", err)
 	}
+	if err := cs.validate(); err != nil {
+		return false, fmt.Errorf("core: invalid checkpoint: %w", err)
+	}
+	return torn, install(st, cs)
+}
+
+// install loads a validated checkpoint state into st, which must be
+// freshly constructed.
+func install(st *Stream, cs *checkpointState) error {
 	strategy, err := parseSelector(cs.Config.Strategy)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
@@ -282,8 +311,9 @@ func restoreInto(st *Stream, r io.Reader) error {
 	return nil
 }
 
-// decodeCheckpoint strictly parses and validates a checkpoint.
-func decodeCheckpoint(data []byte) (*checkpointState, error) {
+// parseCheckpoint strictly parses a checkpoint and verifies its checksum;
+// the caller runs validate() on the state before installing it.
+func parseCheckpoint(data []byte) (*checkpointState, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var env checkpointEnvelope
@@ -300,7 +330,7 @@ func decodeCheckpoint(data []byte) (*checkpointState, error) {
 	if env.Version != checkpointVersion {
 		return nil, fmt.Errorf("core: unsupported checkpoint version %d (this build reads %d)", env.Version, checkpointVersion)
 	}
-	if want := fmt.Sprintf("%08x", crc32.ChecksumIEEE(env.State)); env.Checksum != want {
+	if want := checksum(env.State); env.Checksum != want {
 		return nil, fmt.Errorf("core: checkpoint checksum mismatch (%s recorded, %s computed): corrupted state", env.Checksum, want)
 	}
 	sdec := json.NewDecoder(bytes.NewReader(env.State))
@@ -308,9 +338,6 @@ func decodeCheckpoint(data []byte) (*checkpointState, error) {
 	var cs checkpointState
 	if err := sdec.Decode(&cs); err != nil {
 		return nil, fmt.Errorf("core: parsing checkpoint state: %w", err)
-	}
-	if err := cs.validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid checkpoint: %w", err)
 	}
 	return &cs, nil
 }

@@ -63,6 +63,10 @@ type Stream struct {
 	// decided accumulates every fact this stream has corroborated.
 	decided []StreamFact
 
+	// last describes the newest batch for its checkpoint-log record
+	// (batchRecord); it is not part of the stream's state.
+	last batchDelta
+
 	// decay is the per-batch trust-decay factor λ; 0 means disabled (the
 	// default, and bit-identical to the pre-decay engine). See
 	// SetTrustDecay.
@@ -71,6 +75,22 @@ type Stream struct {
 	// panics is the fault-injection hook for the robustness battery; nil
 	// (the default) costs one pointer check per decided group.
 	panics *fault.Panics
+}
+
+// batchDelta is what one batch changed beyond the facts it decided: the
+// sources it interned and the sources whose accumulators it moved.
+type batchDelta struct {
+	// end is the batch count right after the batch; 0 means no batch has
+	// run since the stream was built or restored.
+	end int
+	// sources is the symbol-table size before the batch: IDs from here on
+	// were interned by it.
+	sources int
+	// voters are the ascending IDs of the sources that voted in the batch
+	// — without trust decay, exactly the sources whose accumulators moved.
+	voters []uint32
+	// facts is the index in decided of the batch's first fact.
+	facts int
 }
 
 // GroupPanicError reports a panic captured while deciding one fact group.
@@ -279,6 +299,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards 
 	for i := 0; i < preSources; i++ {
 		b.Source(st.symtab.Name(uint32(i)))
 	}
+	voters := make([]uint32, 0, len(votes))
 	for _, v := range votes {
 		known := st.symtab.Len()
 		id := st.symtab.Intern(v.Source)
@@ -286,6 +307,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards 
 			b.Source(v.Source)
 		}
 		b.Vote(b.Fact(v.Fact), int(id), v.Vote)
+		voters = append(voters, id)
 	}
 	d := b.Build()
 
@@ -355,6 +377,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards 
 	})
 
 	batch := st.batchesLocked()
+	st.last = batchDelta{end: batch + 1, sources: preSources, voters: ascendingUnique(voters), facts: len(st.decided)}
 	var out []StreamFact
 	for _, g := range groups {
 		p := final[g.ord]
@@ -372,6 +395,18 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards 
 		}
 	}
 	return out, nil
+}
+
+// ascendingUnique sorts ids and drops repeats, in place.
+func ascendingUnique(ids []uint32) []uint32 {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := ids[:0]
+	for _, id := range ids {
+		if len(out) == 0 || id != out[len(out)-1] {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // decideGroup corroborates one group under the frozen batch-entry trust.

@@ -208,6 +208,30 @@ func TestInjectFSCrashAtRename(t *testing.T) {
 	}
 }
 
+func TestInjectFSCrashAtRemove(t *testing.T) {
+	for _, applied := range []bool{false, true} {
+		dir := t.TempDir()
+		fs := NewInjectFS(OS(), 11)
+		name, err := writeTemp(fs, dir, []byte("payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.CrashAtRemove(applied)
+		if err := fs.Remove(name); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("applied=%v: Remove = %v, want ErrCrashed", applied, err)
+		}
+		if _, err := os.Stat(name); (err == nil) == applied {
+			t.Fatalf("applied=%v: file present after crash = %v", applied, err == nil)
+		}
+		if _, err := fs.OpenAppend(name); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("applied=%v: OpenAppend after crash = %v, want ErrCrashed", applied, err)
+		}
+		if _, err := fs.ReadDir(dir); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("applied=%v: ReadDir after crash = %v, want ErrCrashed", applied, err)
+		}
+	}
+}
+
 func TestInjectFSSeedDeterminism(t *testing.T) {
 	prefixes := func(seed int64) []int {
 		dir := t.TempDir()
@@ -259,6 +283,32 @@ func TestOSFSRoundTrip(t *testing.T) {
 	}
 	if string(data) != "hello" {
 		t.Fatalf("read back %q", data)
+	}
+	// OpenAppend creates a missing file and writes at the end of an
+	// existing one.
+	log := filepath.Join(dir, "log")
+	for _, part := range []string{"a", "b"} {
+		f, err := fs.OpenAppend(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Write([]byte(part))
+		if serr := f.Sync(); err == nil {
+			err = serr
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(log); err != nil || string(got) != "ab" {
+		t.Fatalf("appended file = %q, %v; want \"ab\"", got, err)
+	}
+	names, err := fs.ReadDir(dir)
+	if err != nil || len(names) != 2 || names[0] != "log" || names[1] != "out" {
+		t.Fatalf("ReadDir = %v, %v; want [log out]", names, err)
 	}
 	if err := fs.Remove(target); err != nil {
 		t.Fatal(err)

@@ -22,16 +22,23 @@ type File interface {
 
 // FS is the filesystem surface of the crash-safe checkpoint protocol:
 // write a temp file, fsync it, publish it with an atomic rename, fsync
-// the parent directory so the rename itself is durable. OS() is the real
-// implementation; NewInjectFS wraps any FS with deterministic faults.
+// the parent directory so the rename itself is durable; between two such
+// publications, append and fsync per-batch records to a log file next to
+// it. OS() is the real implementation; NewInjectFS wraps any FS with
+// deterministic faults.
 type FS interface {
 	// CreateTemp creates a new temporary file in dir (see os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)
 	// Open opens a file for reading.
 	Open(name string) (File, error)
+	// OpenAppend opens a file for writing at its end, creating it when
+	// missing (os.O_WRONLY|os.O_CREATE|os.O_APPEND, mode 0644).
+	OpenAppend(name string) (File, error)
+	// ReadDir lists the names of dir's entries in sorted order.
+	ReadDir(dir string) ([]string, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
-	// Remove deletes a file (best-effort temp cleanup).
+	// Remove deletes a file: temp cleanup, and the checkpoint log's reset.
 	Remove(name string) error
 	// SyncDir fsyncs a directory, making renames within it durable.
 	SyncDir(dir string) error
@@ -56,6 +63,23 @@ func (osFS) Open(name string) (File, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+func (osFS) OpenAppend(name string) (File, error) {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) ReadDir(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names, err
 }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }

@@ -18,18 +18,43 @@ var ErrInjected = errors.New("fault: injected I/O failure")
 // the moral equivalent of a restart.
 var ErrCrashed = errors.New("fault: filesystem crashed")
 
-// renameMode selects what an armed crash-at-rename leaves on disk.
-type renameMode int
+// crashMode selects what an armed crash at a directory operation (rename
+// or remove) leaves on disk.
+type crashMode int
 
 const (
-	renameClean renameMode = iota
-	// renameCrashBefore: the process dies before the rename reaches the
-	// directory — the old target (if any) survives, the temp file remains.
-	renameCrashBefore
-	// renameCrashAfter: the rename is applied, then the process dies
-	// before it could report success — the new target is in place.
-	renameCrashAfter
+	crashClean crashMode = iota
+	// crashBefore: the process dies before the operation reaches the
+	// directory — for a rename the old target (if any) survives and the
+	// temp file remains; for a remove the file survives.
+	crashBefore
+	// crashAfter: the operation is applied, then the process dies before
+	// it could report success.
+	crashAfter
 )
+
+// armCrash maps the applied flag of CrashAtRename/CrashAtRemove to a mode.
+func armCrash(applied bool) crashMode {
+	if applied {
+		return crashAfter
+	}
+	return crashBefore
+}
+
+// fireCrash runs op under an armed crash mode and disarms it: the
+// process dies before op, or just after it. Callers hold f.mu.
+func (f *InjectFS) fireCrash(mode *crashMode, what string, op func() error) error {
+	armed := *mode
+	*mode = crashClean
+	f.dead = true
+	if armed == crashAfter {
+		if err := op(); err != nil {
+			return err
+		}
+		return fmt.Errorf("%s applied, ack lost: %w", what, ErrCrashed)
+	}
+	return fmt.Errorf("%s: %w", what, ErrCrashed)
+}
 
 // InjectFS wraps an FS with deterministic, individually armed faults.
 // Every fault fires on an explicit arm count; the only seeded freedom is
@@ -45,7 +70,8 @@ type InjectFS struct {
 	failDirSync int
 	shortWrites int
 	tearWrites  int
-	crashRename renameMode
+	crashRename crashMode
+	crashRemove crashMode
 }
 
 // NewInjectFS wraps inner with a disarmed injector; seed fixes the torn
@@ -75,11 +101,16 @@ func (f *InjectFS) TearWrites(n int) { f.mu.Lock(); f.tearWrites = n; f.mu.Unloc
 // crash-safe checkpoint protocol must resume from either.
 func (f *InjectFS) CrashAtRename(applied bool) {
 	f.mu.Lock()
-	if applied {
-		f.crashRename = renameCrashAfter
-	} else {
-		f.crashRename = renameCrashBefore
-	}
+	f.crashRename = armCrash(applied)
+	f.mu.Unlock()
+}
+
+// CrashAtRemove arms a crash at the next Remove, before it takes effect
+// (applied=false) or just after (applied=true) — the two sides of the
+// checkpoint log's reset.
+func (f *InjectFS) CrashAtRemove(applied bool) {
+	f.mu.Lock()
+	f.crashRemove = armCrash(applied)
 	f.mu.Unlock()
 }
 
@@ -124,26 +155,39 @@ func (f *InjectFS) Open(name string) (File, error) {
 	return &injectFile{fs: f, inner: inner}, nil
 }
 
+func (f *InjectFS) OpenAppend(name string) (File, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.checkAlive(); err != nil {
+		return nil, err
+	}
+	inner, err := f.inner.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &injectFile{fs: f, inner: inner}, nil
+}
+
+func (f *InjectFS) ReadDir(dir string) ([]string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.checkAlive(); err != nil {
+		return nil, err
+	}
+	return f.inner.ReadDir(dir)
+}
+
 func (f *InjectFS) Rename(oldpath, newpath string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.checkAlive(); err != nil {
 		return err
 	}
-	switch f.crashRename {
-	case renameCrashBefore:
-		f.crashRename = renameClean
-		f.dead = true
-		return fmt.Errorf("rename %s → %s: %w", oldpath, newpath, ErrCrashed)
-	case renameCrashAfter:
-		f.crashRename = renameClean
-		f.dead = true
-		if err := f.inner.Rename(oldpath, newpath); err != nil {
-			return err
-		}
-		return fmt.Errorf("rename %s → %s applied, ack lost: %w", oldpath, newpath, ErrCrashed)
+	op := func() error { return f.inner.Rename(oldpath, newpath) }
+	if f.crashRename != crashClean {
+		return f.fireCrash(&f.crashRename, fmt.Sprintf("rename %s → %s", oldpath, newpath), op)
 	}
-	return f.inner.Rename(oldpath, newpath)
+	return op()
 }
 
 func (f *InjectFS) Remove(name string) error {
@@ -152,7 +196,11 @@ func (f *InjectFS) Remove(name string) error {
 	if err := f.checkAlive(); err != nil {
 		return err
 	}
-	return f.inner.Remove(name)
+	op := func() error { return f.inner.Remove(name) }
+	if f.crashRemove != crashClean {
+		return f.fireCrash(&f.crashRemove, "remove "+name, op)
+	}
+	return op()
 }
 
 func (f *InjectFS) SyncDir(dir string) error {

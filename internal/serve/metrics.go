@@ -24,8 +24,10 @@ type worldMetrics struct {
 	batchNanosSum atomic.Int64 // total apply+checkpoint latency
 	batchNanosMax atomic.Int64
 
-	checkpointFailures atomic.Int64 // exhausted sink saves
-	lastCheckpoint     atomic.Int64 // UnixNano of the last durable save; 0 = never
+	checkpointFailures atomic.Int64 // exhausted sink commits and saves
+	lastCheckpoint     atomic.Int64 // UnixNano of the last durable commit; 0 = never
+	logBytes           atomic.Int64 // checkpoint log length
+	compactions        atomic.Int64 // full checkpoints written
 }
 
 // observeBatchLatency folds one acknowledged batch's latency into the
@@ -69,6 +71,8 @@ func (w *World) writeMetrics(out io.Writer, now time.Time) {
 	fmt.Fprintf(out, "corrod_batch_seconds_max{tenant=%q} %.9f\n", t, time.Duration(w.m.batchNanosMax.Load()).Seconds())
 	fmt.Fprintf(out, "corrod_checkpoint_failures_total{tenant=%q} %d\n", t, w.m.checkpointFailures.Load())
 	fmt.Fprintf(out, "corrod_checkpoint_age_seconds{tenant=%q} %.3f\n", t, age)
+	fmt.Fprintf(out, "corrod_checkpoint_log_bytes{tenant=%q} %d\n", t, w.m.logBytes.Load())
+	fmt.Fprintf(out, "corrod_checkpoint_compactions_total{tenant=%q} %d\n", t, w.m.compactions.Load())
 	fmt.Fprintf(out, "corrod_read_only{tenant=%q} %d\n", t, ro)
 	fmt.Fprintf(out, "corrod_stream_batches{tenant=%q} %d\n", t, snap.Batches)
 	fmt.Fprintf(out, "corrod_stream_facts{tenant=%q} %d\n", t, len(snap.Facts))

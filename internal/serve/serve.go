@@ -15,20 +15,23 @@
 //     stream's batch boundary; producers feel the stream's real speed
 //     through the queue, not through unbounded memory growth.
 //   - Honest acknowledgment: 200 means the batch is absorbed AND durably
-//     checkpointed. A request that times out waiting is answered 504
+//     committed — its checkpoint-log record fsynced, or a full checkpoint
+//     holding it written. A request that times out waiting is answered 504
 //     "not acknowledged" — the batch may still apply, but the service
 //     never acknowledges what a crash could lose.
 //   - Graceful drain: on SIGTERM the server stops admitting (readyz and
 //     ingest turn 503), flushes every queued batch through the normal
 //     acknowledged path, writes a final checkpoint per tenant, and only
 //     then exits — so a drained data directory restarts byte-identically.
-//   - Degradation ladder: transient checkpoint failures retry with capped
-//     backoff inside the sink; persistent failure flips the tenant
+//   - Degradation ladder: a failed log append retries as a full
+//     checkpoint, and transient checkpoint failures with capped backoff,
+//     inside the sink; persistent failure flips the tenant
 //     read-only (queries keep serving from memory) instead of either
 //     crashing the daemon or acknowledging undurable writes.
-//   - Crash-safe restart: each tenant resumes from its newest valid
-//     checkpoint; a corrupt one is quarantined to <path>.corrupt and the
-//     tenant starts fresh — restart is never blocked.
+//   - Crash-safe restart: each tenant resumes from its checkpoint plus
+//     its log; a corrupt pair is quarantined to <path>.corrupt and
+//     <path>.log.corrupt and the tenant starts fresh — restart is never
+//     blocked.
 //
 // Queries never contend with ingest: every acknowledged batch publishes an
 // immutable core.StreamSnapshot, and /query, /trust, and /metrics read the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -364,6 +365,12 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := string(raw)
+	// Tenant "a" wrote its first batch as a full checkpoint and logged
+	// the second.
+	logged, err := os.Stat(filepath.Join(dir, "a.json.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, line := range []string{
 		"corrod_up 1",
 		"corrod_draining 0",
@@ -374,6 +381,10 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		fmt.Sprintf("corrod_queue_depth{tenant=%q} 0", "a"),
 		fmt.Sprintf("corrod_read_only{tenant=%q} 0", "a"),
 		fmt.Sprintf("corrod_checkpoint_age_seconds{tenant=%q} -1.000", "b"),
+		fmt.Sprintf("corrod_checkpoint_log_bytes{tenant=%q} %d\n", "a", logged.Size()),
+		fmt.Sprintf("corrod_checkpoint_compactions_total{tenant=%q} 1\n", "a"),
+		fmt.Sprintf("corrod_checkpoint_log_bytes{tenant=%q} 0\n", "b"),
+		fmt.Sprintf("corrod_checkpoint_compactions_total{tenant=%q} 0\n", "b"),
 	} {
 		if !strings.Contains(page, line) {
 			t.Fatalf("metrics page missing %q:\n%s", line, page)
@@ -389,6 +400,20 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	bi := strings.Index(page, `{tenant="b"}`)
 	if ai < 0 || bi < 0 || ai > bi {
 		t.Fatalf("tenant sections out of order (a@%d, b@%d)", ai, bi)
+	}
+	// With the clock fixed and no traffic in between, a second scrape
+	// renders the same page byte for byte.
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != page {
+		t.Fatalf("metrics page changed between scrapes:\n%s\n---\n%s", page, again)
 	}
 }
 

@@ -48,7 +48,7 @@ type WorldConfig struct {
 	// TrustDecay is the per-batch trust-decay factor λ; 0 disables. A
 	// resumed world must agree with its checkpoint's recorded factor.
 	TrustDecay float64
-	// ReadOnlyAfter is how many consecutive exhausted checkpoint saves
+	// ReadOnlyAfter is how many consecutive exhausted checkpoint commits
 	// (each already retried with backoff inside the sink) flip the world
 	// read-only. 0 means 3. Negative trips on the first failure.
 	ReadOnlyAfter int
@@ -68,8 +68,9 @@ type WorldConfig struct {
 
 // IngestResult is the acknowledgment of one applied batch. By the time a
 // caller sees it the batch has been absorbed into the stream AND — for a
-// durable world — captured by a successful checkpoint save, so an
-// acknowledged batch survives any subsequent crash.
+// durable world — committed by the checkpoint sink (its log record
+// fsynced, or a full checkpoint written), so an acknowledged batch
+// survives any subsequent crash.
 type IngestResult struct {
 	// Batch is the index the batch was absorbed at.
 	Batch int
@@ -90,7 +91,7 @@ type jobResult struct {
 }
 
 // World is one tenant: a ShardedStream fed through a bounded
-// producer/consumer queue, checkpointed after every batch through a
+// producer/consumer queue, committed after every batch through a
 // crash-safe sink, queried through a published immutable snapshot.
 //
 // The ingest pipeline is the backpressure chain: HTTP handlers enqueue
@@ -98,14 +99,15 @@ type jobResult struct {
 // unboundedly), a single consumer goroutine applies batches one at a time
 // (the stream's batch boundary is the unit of backpressure), and the
 // requester is only acknowledged after its batch is both absorbed and
-// durably checkpointed. Queries never touch the queue or the stream lock:
+// durably committed. Queries never touch the queue or the stream lock:
 // they read the last published StreamSnapshot.
 //
-// Degradation ladder, outermost rung first: transient checkpoint failures
-// are retried with capped exponential backoff inside the sink; an
-// exhausted save fails that one ingest (shed load — the client retries, no
-// false acknowledgment); ReadOnlyAfter consecutive exhausted saves flip
-// the world read-only — ingest refused, queries still served — because
+// Degradation ladder, outermost rung first: a failed log append is
+// retried as a full checkpoint, and transient checkpoint failures with
+// capped exponential backoff, inside the sink; an exhausted commit fails
+// that one ingest (shed load — the client retries, no false
+// acknowledgment); ReadOnlyAfter consecutive exhausted commits flip the
+// world read-only — ingest refused, queries still served — because
 // accepting writes that can no longer be made durable would turn the next
 // crash into silent data loss. A read-only world never corrupts state; a
 // restart (with the sink healthy again) resumes from the newest valid
@@ -120,7 +122,7 @@ type World struct {
 	gate   func()
 
 	readOnlyAfter int
-	sinkFailures  int // consecutive exhausted saves; consumer-only
+	sinkFailures  int // consecutive exhausted commits; consumer-only
 
 	qmu    sync.Mutex
 	jobs   chan *job
@@ -204,6 +206,7 @@ func OpenWorld(cfg WorldConfig) (*World, core.RestoreReport, error) {
 		// "just checkpointed" rather than "never".
 		w.m.lastCheckpoint.Store(clock().UnixNano())
 	}
+	w.observeSink()
 	w.publish()
 	go w.consume()
 	return w, report, nil
@@ -320,9 +323,9 @@ func (w *World) consume() {
 
 // apply absorbs one batch and makes it durable; it runs only on the
 // consumer goroutine. The acknowledgment ordering is the crash-safety
-// contract: absorb, then checkpoint, then ack — so an acknowledged batch
-// is always inside the newest checkpoint, and a crash can only lose
-// batches whose requesters were never told they succeeded.
+// contract: absorb, then commit, then ack — so an acknowledged batch is
+// always inside the durable checkpoint and its log, and a crash can only
+// lose batches whose requesters were never told they succeeded.
 func (w *World) apply(votes []core.BatchVote) jobResult {
 	if w.readOnly.Load() {
 		// The world tripped read-only while this job sat in the queue;
@@ -343,7 +346,9 @@ func (w *World) apply(votes []core.BatchVote) jobResult {
 	}
 	batch := w.stream.Batches() - 1
 	if w.sink != nil {
-		if serr := w.sink.Save(w.stream); serr != nil {
+		serr := w.sink.Commit(w.stream)
+		w.observeSink()
+		if serr != nil {
 			w.m.checkpointFailures.Add(1)
 			w.sinkFailures++
 			if w.sinkFailures >= w.readOnlyAfter {
@@ -381,19 +386,20 @@ func (w *World) StopAdmitting() {
 }
 
 // Drain gracefully shuts the world down: stop admitting, flush every
-// queued batch through the normal apply path (each still checkpointed and
+// queued batch through the normal apply path (each still committed and
 // acknowledged), then write a final checkpoint so the on-disk state is
-// exactly the drained in-memory state. Safe to call more than once;
-// concurrent and later calls return the first drain's result.
+// exactly the drained in-memory state, in one file. Safe to call more
+// than once; concurrent and later calls return the first drain's result.
 func (w *World) Drain() error {
 	w.drainOnce.Do(func() {
 		w.StopAdmitting()
 		<-w.consumerDone
 		if w.sink != nil && !w.readOnly.Load() {
-			// Normally a no-op rewrite of the same bytes (every batch was
-			// checkpointed); it matters when the last save failed
-			// transiently without tripping read-only.
-			if err := w.sink.Save(w.stream); err != nil {
+			// Folds the log into the base; it also lands a batch whose
+			// commit failed transiently without tripping read-only.
+			err := w.sink.Save(w.stream)
+			w.observeSink()
+			if err != nil {
 				w.m.checkpointFailures.Add(1)
 				w.drainErr = fmt.Errorf("serve: world %q final checkpoint: %w", w.name, err)
 				return
@@ -402,4 +408,13 @@ func (w *World) Drain() error {
 		}
 	})
 	return w.drainErr
+}
+
+// observeSink mirrors the sink's log size and compaction count into the
+// metrics; the sink itself is consumer-only.
+func (w *World) observeSink() {
+	if w.sink != nil {
+		w.m.logBytes.Store(w.sink.LogBytes())
+		w.m.compactions.Store(w.sink.Compactions())
+	}
 }

@@ -84,17 +84,19 @@ func TestWorldIngestAcksDurably(t *testing.T) {
 		if res.Batch != i {
 			t.Fatalf("batch %d acknowledged as %d", i, res.Batch)
 		}
-		// The acknowledgment contract: the batch is already on disk.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("after batch %d: %v", i, err)
+		// The acknowledgment contract: the batch is already on disk. A
+		// second sink restores the live tenant's base and log, which must
+		// hold exactly the stream an uninterrupted run has at this batch.
+		st, report, err := core.NewCheckpointSink(path).Restore(1)
+		if err != nil || !report.Resumed {
+			t.Fatalf("after batch %d: restore = %+v, %v", i, report, err)
 		}
-		st, err := core.RestoreStream(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("after batch %d: %v", i, err)
+		var got bytes.Buffer
+		if err := st.Checkpoint(&got); err != nil {
+			t.Fatal(err)
 		}
-		if got := st.Batches(); got != i+1 {
-			t.Fatalf("checkpoint after batch %d holds %d batches", i, got)
+		if want := referenceCheckpoint(t, 3, batches[:i+1]); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("restored state after batch %d differs from the uninterrupted reference", i)
 		}
 	}
 	if err := w.Drain(); err != nil {
@@ -339,17 +341,24 @@ func TestReadOnlyDegradation(t *testing.T) {
 	}
 }
 
-// TestCrashDuringCheckpointRestart kills the filesystem at the
-// rename — both before and after it takes effect — and proves restart
-// resumes from a valid checkpoint either way, with no acknowledged batch
-// lost and the re-fed stream byte-identical to an uninterrupted reference.
+// TestCrashDuringCheckpointRestart kills the filesystem while batch 1 is
+// being made durable — tearing its log append, or failing the append
+// short so the sink falls back to a full checkpoint and dying at that
+// checkpoint's rename, before or after it takes effect — and proves
+// restart resumes from a valid state every time, with no acknowledged
+// batch lost and the re-fed stream byte-identical to an uninterrupted
+// reference.
 func TestCrashDuringCheckpointRestart(t *testing.T) {
-	for _, applied := range []bool{false, true} {
-		name := "crash-before-rename"
-		if applied {
-			name = "crash-after-rename"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*fault.InjectFS)
+		want int // batches the restart resumes
+	}{
+		{"torn-log-append", func(f *fault.InjectFS) { f.TearWrites(1) }, 1},
+		{"crash-before-rename", func(f *fault.InjectFS) { f.ShortWrites(1); f.CrashAtRename(false) }, 1},
+		{"crash-after-rename", func(f *fault.InjectFS) { f.ShortWrites(1); f.CrashAtRename(true) }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "checkpoint.json")
 			batches := scenarioBatches(t, 3, 6, 47)
@@ -366,22 +375,21 @@ func TestCrashDuringCheckpointRestart(t *testing.T) {
 				t.Fatalf("batch 0: %v", err)
 			}
 
-			// The crash: the process dies inside the checkpoint rename
-			// while batch 1 is being made durable. The requester is never
-			// acknowledged.
-			ifs.CrashAtRename(applied)
+			// The crash: the process dies while batch 1 is being made
+			// durable. The requester is never acknowledged.
+			tc.arm(ifs)
 			if _, err := w.Ingest(context.Background(), batches[1]); err == nil {
 				t.Fatal("batch 1 acknowledged through a crashed filesystem")
 			}
-			if err := w.Drain(); err == nil && !applied {
+			if err := w.Drain(); err == nil {
 				// Final save may also fail on the dead FS; either way the
 				// on-disk state must be a valid checkpoint.
 				t.Log("drain succeeded despite crashed fs (final save skipped)")
 			}
 
-			// Restart over the real filesystem: whichever side of the
-			// rename the crash landed on, the newest valid checkpoint
-			// must restore — batch 0 alone, or batches 0-1.
+			// Restart over the real filesystem: wherever the crash landed,
+			// the newest valid state must restore — batch 0 alone, or
+			// batches 0-1.
 			w2, report, err := OpenWorld(WorldConfig{Name: "t", Shards: 3, CheckpointPath: path})
 			if err != nil {
 				t.Fatalf("restart: %v", err)
@@ -390,12 +398,8 @@ func TestCrashDuringCheckpointRestart(t *testing.T) {
 				t.Fatalf("restart did not resume (report %+v)", report)
 			}
 			resumed := w2.Snapshot().Batches
-			want := 1
-			if applied {
-				want = 2
-			}
-			if resumed != want {
-				t.Fatalf("restart resumed %d batches, want %d", resumed, want)
+			if resumed != tc.want {
+				t.Fatalf("restart resumed %d batches, want %d", resumed, tc.want)
 			}
 
 			// Re-feed everything the checkpoint does not hold; the final

@@ -6,11 +6,15 @@
 #   1. boot corrod on an ephemeral port with a fresh data directory,
 #   2. verify /healthz and /readyz answer,
 #   3. burst a seeded loadgen scenario through the admission queue,
-#   4. verify the query path sees every acknowledged batch,
-#   5. SIGTERM: the daemon must drain and exit 0,
-#   6. restart on the same data directory: the daemon must resume exactly
+#   4. verify the query path sees every acknowledged batch, most of them
+#      committed as log records rather than full checkpoints,
+#   5. SIGKILL: no drain, so the data directory holds a base checkpoint
+#      plus its log; restart on it and verify every acknowledged batch is
+#      back (200 = durable, proven with a real binary and real files),
+#   6. SIGTERM: the daemon must drain and exit 0,
+#   7. restart on the same data directory: the daemon must resume exactly
 #      the acknowledged state (the §10 crash-restart story, end to end),
-#   7. drain again, still exit 0.
+#   8. drain again, still exit 0.
 #
 # Everything is asserted; any deviation fails the script.
 set -eu
@@ -73,12 +77,28 @@ DROPPED=$(grep -o '"dropped": *[0-9]*' "$WORK/load.json" | grep -o '[0-9]*$')
 # The query path must see exactly the acknowledged batches.
 BATCHES=$(curl -fsS "http://$ADDR/v1/tenants/smoke/query?limit=0" | grep -o '"batches": *[0-9]*' | grep -o '[0-9]*$')
 [ "$BATCHES" = "$ACKED" ] || fail "query sees $BATCHES batches, $ACKED were acked"
-curl -fsS "http://$ADDR/metrics" | grep -q "corrod_ingested_batches_total{tenant=\"smoke\"} $ACKED" ||
+curl -fsS "http://$ADDR/metrics" >"$WORK/metrics.txt"
+grep -q "corrod_ingested_batches_total{tenant=\"smoke\"} $ACKED" "$WORK/metrics.txt" ||
 	fail "/metrics does not report the acked batch count"
+COMPACTIONS=$(grep 'corrod_checkpoint_compactions_total{tenant="smoke"}' "$WORK/metrics.txt" | grep -o '[0-9]*$')
+LOGBYTES=$(grep 'corrod_checkpoint_log_bytes{tenant="smoke"}' "$WORK/metrics.txt" | grep -o '[0-9]*$')
+[ -n "$COMPACTIONS" ] && [ "$COMPACTIONS" -lt "$ACKED" ] ||
+	fail "$ACKED acks took ${COMPACTIONS:-?} full checkpoints; the log was not used"
+
+# --- hard kill: no drain, the on-disk state is base + log ---
+echo "daemon-smoke: SIGKILL after $ACKED acks ($COMPACTIONS full checkpoints, $LOGBYTES log bytes)..."
+kill -KILL "$CORROD_PID"
+wait "$CORROD_PID" 2>/dev/null || true
+CORROD_PID=""
+start_corrod killed
+grep -q "resumed: $ACKED batches" "$WORK/corrod.killed.log" ||
+	fail "restart after SIGKILL did not resume $ACKED batches: $(cat "$WORK/corrod.killed.log")"
+BATCHES=$(curl -fsS "http://$ADDR/v1/tenants/smoke/query?limit=0" | grep -o '"batches": *[0-9]*' | grep -o '[0-9]*$')
+[ "$BATCHES" = "$ACKED" ] || fail "daemon restarted after SIGKILL serves $BATCHES batches, want $ACKED"
 
 # --- graceful drain ---
 echo "daemon-smoke: draining..."
-stop_corrod boot
+stop_corrod killed
 
 # --- checkpoint-restart round-trip ---
 echo "daemon-smoke: restarting on the drained data directory..."
@@ -89,4 +109,4 @@ BATCHES=$(curl -fsS "http://$ADDR/v1/tenants/smoke/query?limit=0" | grep -o '"ba
 [ "$BATCHES" = "$ACKED" ] || fail "restarted daemon serves $BATCHES batches, want $ACKED"
 stop_corrod restart
 
-echo "daemon-smoke: OK ($ACKED batches acked, drained, resumed, drained again)"
+echo "daemon-smoke: OK ($ACKED batches acked, killed, resumed, drained, resumed, drained again)"
