@@ -85,7 +85,8 @@ bench-smoke:
 # FuzzRestore's workers spend a 10s budget minimizing the new inputs they
 # find (up to 60s each by default) and run little beyond the seeds (82
 # execs in 10s on a 2-vCPU host); with minimization capped they run ~700
-# execs a second.
+# execs a second. The two codec targets find new inputs at the same rate
+# and cap minimization the same way.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseVote -fuzztime=$(FUZZTIME) ./internal/truth
 	$(GO) test -run='^$$' -fuzz=FuzzParseLabel -fuzztime=$(FUZZTIME) ./internal/truth
@@ -94,8 +95,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNormalizeAddress -fuzztime=$(FUZZTIME) ./internal/dedup
 	$(GO) test -run='^$$' -fuzz=FuzzSimilarity -fuzztime=$(FUZZTIME) ./internal/dedup
 	$(GO) test -run='^$$' -fuzz=FuzzIntern -fuzztime=$(FUZZTIME) ./internal/truth
-	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzLogRecordCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/synth
 	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=$(FUZZTIME) ./internal/serve
 

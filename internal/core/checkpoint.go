@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"unicode/utf8"
@@ -27,26 +24,24 @@ import (
 // Wire format: a one-object JSON envelope
 //
 //	{"format":"corroborate/stream-checkpoint","version":1,
-//	 "checksum":"<crc32c hex of the state bytes>","state":{...}}
+//	 "checksum":"<crc32 (IEEE) hex of the state bytes>","state":{...}}
 //
-// encoded compactly and deterministically (same state ⇒ same bytes). The
-// decoder is strict: unknown fields, trailing data, a foreign format tag, an
-// unsupported version, a checksum mismatch, or any semantic inconsistency in
-// the state (credits outside [0, count], a prediction disagreeing with its
-// probability under Eq. 2, a gap in the batch numbering, …) is an error —
-// never a panic, and never a silently half-restored stream.
+// encoded compactly and deterministically (same state ⇒ same bytes) by the
+// single-pass codec in checkpoint_codec.go. The decoder is strict: unknown
+// fields, trailing data, a foreign format tag, an unsupported version, a
+// checksum mismatch, or any semantic inconsistency in the state (credits
+// outside [0, count], a prediction disagreeing with its probability under
+// Eq. 2, a gap in the batch numbering, …) is an error — never a panic, and
+// never a silently half-restored stream.
 
 const (
 	checkpointFormat  = "corroborate/stream-checkpoint"
 	checkpointVersion = 1
 )
 
-type checkpointEnvelope struct {
-	Format   string          `json:"format"`
-	Version  int             `json:"version"`
-	Checksum string          `json:"checksum"`
-	State    json.RawMessage `json:"state"`
-}
+// The json tags name the state's wire fields. The codec writes and reads
+// them by hand (checkpoint_codec.go); the tags are what the encoding/json
+// oracle in the tests marshals by.
 
 type checkpointState struct {
 	Config checkpointConfig `json:"config"`
@@ -110,20 +105,20 @@ func encodeName(name string) (plain, b64 string) {
 }
 
 // decodeName rebuilds a name from the field pair, rejecting non-canonical
-// encodings.
-func decodeName(plain, b64, what string) (string, error) {
+// encodings. what and i name the element in errors.
+func decodeName(plain, b64, what string, i int) (string, error) {
 	if b64 == "" {
 		return plain, nil
 	}
 	if plain != "" {
-		return "", fmt.Errorf("%s carries both name and name_b64", what)
+		return "", fmt.Errorf("%s %d carries both name and name_b64", what, i)
 	}
 	raw, err := base64.StdEncoding.DecodeString(b64)
 	if err != nil {
-		return "", fmt.Errorf("%s name_b64: %w", what, err)
+		return "", fmt.Errorf("%s %d name_b64: %w", what, i, err)
 	}
 	if utf8.Valid(raw) {
-		return "", fmt.Errorf("%s name_b64 encodes valid UTF-8; canonical form uses name", what)
+		return "", fmt.Errorf("%s %d name_b64 encodes valid UTF-8; canonical form uses name", what, i)
 	}
 	return string(raw), nil
 }
@@ -143,58 +138,117 @@ func (st *Stream) Checkpoint(w io.Writer) error {
 }
 
 func (st *Stream) encodeLocked() ([]byte, error) {
-	cs := checkpointState{
-		Config: checkpointConfig{
-			Strategy:      st.Config.Strategy.String(),
-			InitialTrust:  st.Config.InitialTrust,
-			MaxRounds:     st.Config.MaxRounds,
-			CandidateCap:  st.Config.CandidateCap,
-			FullGroups:    st.Config.FullGroups,
-			FlipDeltaH:    st.Config.FlipDeltaH,
-			SoftAbsorb:    st.Config.SoftAbsorb,
-			AnchoredTrust: st.Config.AnchoredTrust,
-			DeferBand:     st.Config.DeferBand,
-		},
-	}
+	w := jsonWriter{b: make([]byte, 0, st.checkpointSizeHint())}
+	w.raw(`{"format":`)
+	w.str(checkpointFormat)
+	w.raw(`,"version":`)
+	w.int(checkpointVersion)
+	w.raw(`,"checksum":"`)
+	sumAt := len(w.b)
+	w.raw(`00000000","state":`)
+	stateAt := len(w.b)
+	c := &st.Config
+	w.raw(`{"config":{"strategy":`)
+	w.str(c.Strategy.String())
+	optFloat(&w, `,"initial_trust":`, c.InitialTrust)
+	optInt(&w, `,"max_rounds":`, c.MaxRounds)
+	optInt(&w, `,"candidate_cap":`, c.CandidateCap)
+	optTrue(&w, `,"full_groups":true`, c.FullGroups)
+	optTrue(&w, `,"flip_delta_h":true`, c.FlipDeltaH)
+	optTrue(&w, `,"soft_absorb":true`, c.SoftAbsorb)
+	optTrue(&w, `,"anchored_trust":true`, c.AnchoredTrust)
+	optFloat(&w, `,"defer_band":`, c.DeferBand)
+	w.raw("}")
 	if st.initDone {
-		cs.DefaultTrust = st.state.defaultTrust
+		optFloat(&w, `,"default_trust":`, st.state.defaultTrust)
 	}
-	cs.TrustDecay = st.decay
+	optFloat(&w, `,"trust_decay":`, st.decay)
 	// Sources are emitted in symbol-table ID order: the interning order
 	// defines vote signatures, so preserving it is what lets the restored
 	// stream continue byte-identically.
 	for i := 0; i < st.symtab.Len(); i++ {
-		plain, b64 := encodeName(st.symtab.Name(uint32(i)))
+		if i == 0 {
+			w.raw(`,"sources":[{`)
+		} else {
+			w.raw(`,{`)
+		}
+		if w.name(encodeName(st.symtab.Name(uint32(i)))) {
+			w.raw(",")
+		}
 		credit, count, countF := st.accumulators(i)
-		cs.Sources = append(cs.Sources, checkpointSource{
-			Name: plain, NameB64: b64, Credit: credit, Count: count, CountF: countF,
-		})
+		w.raw(`"credit":`)
+		w.float(credit)
+		w.raw(`,"count":`)
+		w.int(count)
+		optFloat(&w, `,"count_f":`, countF)
+		w.raw("}")
+	}
+	if st.symtab.Len() > 0 {
+		w.raw("]")
+	}
+	for i, sf := range st.decided {
+		if i == 0 {
+			w.raw(`,"decided":[{`)
+		} else {
+			w.raw(`,{`)
+		}
+		if w.name(encodeName(sf.Name)) {
+			w.raw(",")
+		}
+		w.raw(`"batch":`)
+		w.int(sf.Batch)
+		w.raw(`,"probability":`)
+		w.float(sf.Probability)
+		w.raw(`,"prediction":`)
+		w.label(sf.Prediction)
+		w.raw("}")
+	}
+	if len(st.decided) > 0 {
+		w.raw("]")
+	}
+	w.raw("}")
+	if w.err != nil {
+		return nil, fmt.Errorf("core: encoding checkpoint state: %w", w.err)
+	}
+	appendChecksum(w.b[sumAt:sumAt], w.b[stateAt:])
+	w.raw("}\n")
+	return w.b, nil
+}
+
+// checkpointSizeHint sizes the buffer a checkpoint is encoded into, so
+// encoding it allocates once: the names plus ~100 bytes per source and
+// per decided fact, enough for the keys and numbers of each.
+func (st *Stream) checkpointSizeHint() int {
+	n := 256 + 100*(st.symtab.Len()+len(st.decided))
+	for i := 0; i < st.symtab.Len(); i++ {
+		n += len(st.symtab.Name(uint32(i)))
 	}
 	for _, sf := range st.decided {
-		plain, b64 := encodeName(sf.Name)
-		cs.Decided = append(cs.Decided, checkpointFact{
-			Name:        plain,
-			NameB64:     b64,
-			Batch:       sf.Batch,
-			Probability: sf.Probability,
-			Prediction:  sf.Prediction,
-		})
+		n += len(sf.Name)
 	}
-	payload, err := json.Marshal(cs)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding checkpoint state: %w", err)
+	return n
+}
+
+// optFloat, optInt and optTrue write an omitempty field — key holds its
+// leading comma and name — when its value is not the zero value.
+func optFloat(w *jsonWriter, key string, f float64) {
+	if f != 0 {
+		w.raw(key)
+		w.float(f)
 	}
-	env := checkpointEnvelope{
-		Format:   checkpointFormat,
-		Version:  checkpointVersion,
-		Checksum: checksum(payload),
-		State:    payload,
+}
+
+func optInt(w *jsonWriter, key string, n int) {
+	if n != 0 {
+		w.raw(key)
+		w.int(n)
 	}
-	out, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding checkpoint envelope: %w", err)
+}
+
+func optTrue(w *jsonWriter, field string, v bool) {
+	if v {
+		w.raw(field)
 	}
-	return append(out, '\n'), nil
 }
 
 // accumulators returns source i's credit, integer count and — with trust
@@ -211,7 +265,7 @@ func (st *Stream) accumulators(i int) (credit float64, count int, countF float64
 // checksum is the CRC-32 (IEEE) of a checkpoint state or log record
 // payload, as the 8-digit lower-case hex string both formats carry.
 func checksum(payload []byte) string {
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload))
+	return string(appendChecksum(nil, payload))
 }
 
 // RestoreStream reads a checkpoint and returns a fresh Stream that
@@ -300,6 +354,7 @@ func install(st *Stream, cs *checkpointState) error {
 			}
 		}
 	}
+	st.decided = make([]StreamFact, 0, len(cs.Decided))
 	for _, cf := range cs.Decided {
 		st.decided = append(st.decided, StreamFact{
 			Name:        cf.Name,
@@ -311,35 +366,139 @@ func install(st *Stream, cs *checkpointState) error {
 	return nil
 }
 
-// parseCheckpoint strictly parses a checkpoint and verifies its checksum;
-// the caller runs validate() on the state before installing it.
+// parseCheckpoint strictly parses a checkpoint in one pass and verifies
+// its checksum; the caller runs validate() on the state before installing
+// it. Its checks, and the order it reports them in, are encoding/json's:
+// malformed JSON or a bad envelope field, trailing data, the format tag,
+// the version, the checksum over the state value's bytes, and only then
+// whether the state is a checkpoint state — so a state it cannot parse is
+// skipped as plain JSON until the checksum has been checked.
 func parseCheckpoint(data []byte) (*checkpointState, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var env checkpointEnvelope
-	if err := dec.Decode(&env); err != nil {
+	r := &jsonReader{data: data}
+	var (
+		format, sum string
+		version     int
+		cs          checkpointState
+		state       []byte
+		stateErr    error
+	)
+	r.ws()
+	err := r.object(envelopeKeys, func(k int) error {
+		switch k {
+		case 0:
+			return r.string(&format)
+		case 1:
+			return r.int(&version)
+		case 2:
+			return r.string(&sum)
+		}
+		start := r.off
+		if stateErr = r.state(&cs); stateErr != nil {
+			r.off = start
+			if err := r.skip(1); err != nil {
+				return err
+			}
+		}
+		state = data[start:r.off]
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("core: parsing checkpoint envelope: %w", err)
 	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
+	if r.ws(); r.off != len(data) {
 		return nil, fmt.Errorf("core: checkpoint carries trailing data")
 	}
-	if env.Format != checkpointFormat {
-		return nil, fmt.Errorf("core: not a stream checkpoint (format %q)", env.Format)
+	if format != checkpointFormat {
+		return nil, fmt.Errorf("core: not a stream checkpoint (format %q)", format)
 	}
-	if env.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: unsupported checkpoint version %d (this build reads %d)", env.Version, checkpointVersion)
+	if version != checkpointVersion {
+		return nil, fmt.Errorf("core: unsupported checkpoint version %d (this build reads %d)", version, checkpointVersion)
 	}
-	if want := checksum(env.State); env.Checksum != want {
-		return nil, fmt.Errorf("core: checkpoint checksum mismatch (%s recorded, %s computed): corrupted state", env.Checksum, want)
+	if want := checksum(state); sum != want {
+		return nil, fmt.Errorf("core: checkpoint checksum mismatch (%s recorded, %s computed): corrupted state", sum, want)
 	}
-	sdec := json.NewDecoder(bytes.NewReader(env.State))
-	sdec.DisallowUnknownFields()
-	var cs checkpointState
-	if err := sdec.Decode(&cs); err != nil {
-		return nil, fmt.Errorf("core: parsing checkpoint state: %w", err)
+	if state == nil {
+		stateErr = fmt.Errorf("no state")
+	}
+	if stateErr != nil {
+		return nil, fmt.Errorf("core: parsing checkpoint state: %w", stateErr)
 	}
 	return &cs, nil
+}
+
+func (r *jsonReader) state(cs *checkpointState) error {
+	return r.object(stateKeys, func(k int) error {
+		switch k {
+		case 0:
+			return r.config(&cs.Config)
+		case 1:
+			return r.float(&cs.DefaultTrust)
+		case 2:
+			return r.float(&cs.TrustDecay)
+		case 3:
+			return list(r, &cs.Sources, r.source, 0)
+		}
+		// Sized from the bytes left (a decided fact takes ~50 bytes plus
+		// its name), the log is allocated about once instead of growing
+		// a few hundred times.
+		return list(r, &cs.Decided, r.fact, (len(r.data)-r.off)/64)
+	})
+}
+
+func (r *jsonReader) config(c *checkpointConfig) error {
+	return r.object(configKeys, func(k int) error {
+		switch k {
+		case 0:
+			return r.string(&c.Strategy)
+		case 1:
+			return r.float(&c.InitialTrust)
+		case 2:
+			return r.int(&c.MaxRounds)
+		case 3:
+			return r.int(&c.CandidateCap)
+		case 4:
+			return r.bool(&c.FullGroups)
+		case 5:
+			return r.bool(&c.FlipDeltaH)
+		case 6:
+			return r.bool(&c.SoftAbsorb)
+		case 7:
+			return r.bool(&c.AnchoredTrust)
+		}
+		return r.float(&c.DeferBand)
+	})
+}
+
+func (r *jsonReader) source(src *checkpointSource) error {
+	return r.object(sourceKeys, func(k int) error {
+		switch k {
+		case 0:
+			return r.string(&src.Name)
+		case 1:
+			return r.string(&src.NameB64)
+		case 2:
+			return r.float(&src.Credit)
+		case 3:
+			return r.int(&src.Count)
+		}
+		return r.float(&src.CountF)
+	})
+}
+
+func (r *jsonReader) fact(cf *checkpointFact) error {
+	return r.object(factKeys, func(k int) error {
+		switch k {
+		case 0:
+			return r.string(&cf.Name)
+		case 1:
+			return r.string(&cf.NameB64)
+		case 2:
+			return r.int(&cf.Batch)
+		case 3:
+			return r.float(&cf.Probability)
+		}
+		return r.label(&cf.Prediction)
+	})
 }
 
 // validate enforces every invariant a live stream maintains, so a restored
@@ -372,7 +531,7 @@ func (cs *checkpointState) validate() error {
 		// Decode the canonical name pair and normalize in place: after a
 		// successful validate, .Name holds the true byte string and
 		// restoreInto never re-derives it.
-		name, err := decodeName(src.Name, src.NameB64, fmt.Sprintf("source %d", i))
+		name, err := decodeName(src.Name, src.NameB64, "source", i)
 		if err != nil {
 			return err
 		}
@@ -412,7 +571,7 @@ func (cs *checkpointState) validate() error {
 	}
 	prevBatch := 0
 	for i, cf := range cs.Decided {
-		name, err := decodeName(cf.Name, cf.NameB64, fmt.Sprintf("decided fact %d", i))
+		name, err := decodeName(cf.Name, cf.NameB64, "decided fact", i)
 		if err != nil {
 			return err
 		}

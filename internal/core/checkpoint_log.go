@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"corroborate/internal/truth"
 )
@@ -32,6 +30,8 @@ import (
 //	<crc32 hex of the JSON> SP <compact JSON> LF
 //
 // Compact JSON never contains a raw LF, so the terminator is unambiguous.
+// The JSON is written and read by the codec in checkpoint_codec.go, to
+// the bytes encoding/json would write for the tagged types below.
 
 type logRecord struct {
 	Batch   int        `json:"batch"`
@@ -66,13 +66,32 @@ type logFact struct {
 // checkpoint records (it fixes the default trust a record does not
 // carry).
 func (st *Stream) batchRecord() ([]byte, int, error) {
+	rec := st.newestRecord()
+	if rec == nil {
+		return nil, -1, nil
+	}
+	// ~100 bytes per element, enough for keys, numbers and a short name.
+	w := jsonWriter{b: make([]byte, 0, 128+100*(len(rec.New)+len(rec.Moved)+len(rec.Decided)))}
+	w.raw("00000000 ")
+	rec.appendJSON(&w)
+	if w.err != nil {
+		return nil, -1, fmt.Errorf("core: encoding log record for batch %d: %w", rec.Batch, w.err)
+	}
+	appendChecksum(w.b[:0], w.b[9:])
+	w.raw("\n")
+	return w.b, rec.Batch, nil
+}
+
+// newestRecord returns the record of the stream's newest batch, or nil
+// when no record can describe it (see batchRecord).
+func (st *Stream) newestRecord() *logRecord {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	end := st.batchesLocked()
 	if st.last.end != end || end < 2 {
-		return nil, -1, nil
+		return nil
 	}
-	rec := logRecord{Batch: end - 1}
+	rec := &logRecord{Batch: end - 1}
 	for i := st.last.sources; i < st.symtab.Len(); i++ {
 		plain, b64 := encodeName(st.symtab.Name(uint32(i)))
 		rec.New = append(rec.New, logName{Name: plain, NameB64: b64})
@@ -97,15 +116,130 @@ func (st *Stream) batchRecord() ([]byte, int, error) {
 			Name: plain, NameB64: b64, Probability: sf.Probability, Prediction: sf.Prediction,
 		})
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, -1, fmt.Errorf("core: encoding log record for batch %d: %w", rec.Batch, err)
+	return rec
+}
+
+// appendJSON writes rec as its record's JSON payload. In the fields
+// without omitempty, a nil slice is null and an empty one [].
+func (rec *logRecord) appendJSON(w *jsonWriter) {
+	w.raw(`{"batch":`)
+	w.int(rec.Batch)
+	if len(rec.New) > 0 {
+		w.raw(`,"new":[`)
+		for i, n := range rec.New {
+			if i > 0 {
+				w.raw(",")
+			}
+			w.raw("{")
+			w.name(n.Name, n.NameB64)
+			w.raw("}")
+		}
+		w.raw("]")
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = append(line, checksum(payload)...)
-	line = append(line, ' ')
-	line = append(line, payload...)
-	return append(line, '\n'), rec.Batch, nil
+	w.raw(`,"moved":`)
+	if rec.Moved == nil {
+		w.raw("null")
+	} else {
+		w.raw("[")
+		for i, m := range rec.Moved {
+			if i > 0 {
+				w.raw(",")
+			}
+			w.raw(`{"id":`)
+			w.int(m.ID)
+			w.raw(`,"credit":`)
+			w.float(m.Credit)
+			w.raw(`,"count":`)
+			w.int(m.Count)
+			optFloat(w, `,"count_f":`, m.CountF)
+			w.raw("}")
+		}
+		w.raw("]")
+	}
+	w.raw(`,"decided":`)
+	if rec.Decided == nil {
+		w.raw("null")
+	} else {
+		w.raw("[")
+		for i, f := range rec.Decided {
+			if i > 0 {
+				w.raw(",")
+			}
+			w.raw("{")
+			if w.name(f.Name, f.NameB64) {
+				w.raw(",")
+			}
+			w.raw(`"probability":`)
+			w.float(f.Probability)
+			w.raw(`,"prediction":`)
+			w.label(f.Prediction)
+			w.raw("}")
+		}
+		w.raw("]")
+	}
+	w.raw("}")
+}
+
+// parseLogRecord parses a record's JSON payload.
+func parseLogRecord(payload []byte) (*logRecord, error) {
+	r := &jsonReader{data: payload}
+	var rec logRecord
+	r.ws()
+	err := r.object(recordKeys, func(k int) error {
+		switch k {
+		case 0:
+			return r.int(&rec.Batch)
+		case 1:
+			return list(r, &rec.New, r.logName, 0)
+		case 2:
+			return list(r, &rec.Moved, r.logAccum, 0)
+		}
+		return list(r, &rec.Decided, r.logFact, 0)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("does not decode: %w", err)
+	}
+	if r.ws(); r.off != len(payload) {
+		return nil, fmt.Errorf("carries trailing data")
+	}
+	return &rec, nil
+}
+
+func (r *jsonReader) logName(n *logName) error {
+	return r.object(nameKeys, func(k int) error {
+		if k == 0 {
+			return r.string(&n.Name)
+		}
+		return r.string(&n.NameB64)
+	})
+}
+
+func (r *jsonReader) logAccum(m *logAccum) error {
+	return r.object(accumKeys, func(k int) error {
+		switch k {
+		case 0:
+			return r.int(&m.ID)
+		case 1:
+			return r.float(&m.Credit)
+		case 2:
+			return r.int(&m.Count)
+		}
+		return r.float(&m.CountF)
+	})
+}
+
+func (r *jsonReader) logFact(f *logFact) error {
+	return r.object(logFactKeys, func(k int) error {
+		switch k {
+		case 0:
+			return r.string(&f.Name)
+		case 1:
+			return r.string(&f.NameB64)
+		case 2:
+			return r.float(&f.Probability)
+		}
+		return r.label(&f.Prediction)
+	})
 }
 
 // replayLog applies the records in data to cs, a parsed (not yet
@@ -136,15 +270,9 @@ func (cs *checkpointState) replayLog(data []byte) (bool, error) {
 			}
 			return false, fmt.Errorf("log record at byte %d fails its checksum and is not the last", at)
 		}
-		dec := json.NewDecoder(bytes.NewReader(payload))
-		dec.DisallowUnknownFields()
-		var rec logRecord
-		if err := dec.Decode(&rec); err != nil {
-			return false, fmt.Errorf("log record at byte %d does not decode: %w", at, err)
-		}
-		var trailing json.RawMessage
-		if err := dec.Decode(&trailing); err != io.EOF {
-			return false, fmt.Errorf("log record at byte %d carries trailing data", at)
+		rec, err := parseLogRecord(payload)
+		if err != nil {
+			return false, fmt.Errorf("log record at byte %d %w", at, err)
 		}
 		if applied == 0 && rec.Batch < next {
 			continue
@@ -152,7 +280,7 @@ func (cs *checkpointState) replayLog(data []byte) (bool, error) {
 		if rec.Batch != next {
 			return false, fmt.Errorf("log record at byte %d is for batch %d, want %d", at, rec.Batch, next)
 		}
-		if err := cs.applyRecord(&rec); err != nil {
+		if err := cs.applyRecord(rec); err != nil {
 			return false, fmt.Errorf("log record at byte %d: %w", at, err)
 		}
 		next++

@@ -18,6 +18,7 @@ func checkpointBytes(t *testing.T, st *Stream) []byte {
 	if err := st.Checkpoint(&buf); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
+	requireOracleBytes(t, st)
 	return buf.Bytes()
 }
 

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
+	"corroborate/internal/synth"
 	"corroborate/internal/truth"
 )
 
@@ -225,6 +230,79 @@ func BenchmarkStream(b *testing.B) {
 		st := NewStream()
 		if _, err := st.AddBatch(votes); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// agedStream is a stream aged like a long-lived tenant: 500 scenario
+// batches of 40 facts from 10 honest slots churning at 0.2 — ~2×10⁴
+// decided facts and ~10³ sources, a ~1.8 MB checkpoint. It is built once
+// per test binary and must not be fed further.
+var agedStream = sync.OnceValues(func() (*ShardedStream, error) {
+	world, err := synth.GenerateScenario(synth.ScenarioConfig{
+		Batches: 500, FactsPerBatch: 40, HonestSources: 10, ChurnRate: 0.2, Seed: 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	st := NewShardedStream(1)
+	for _, b := range world.Batches {
+		votes := make([]BatchVote, len(b.Votes))
+		for i, v := range b.Votes {
+			votes[i] = BatchVote{Fact: v.Fact, Source: v.Source, Vote: v.Vote}
+		}
+		if _, err := st.AddBatch(votes); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
+})
+
+// agedCheckpoint returns the aged stream and its checkpoint.
+func agedCheckpoint(tb testing.TB) (*ShardedStream, []byte) {
+	tb.Helper()
+	st, err := agedStream()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return st, buf.Bytes()
+}
+
+// BenchmarkCheckpointEncode: one full checkpoint of the aged stream into
+// memory — what every compaction and drain pays.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	st, data := agedCheckpoint(b)
+	var buf bytes.Buffer
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := st.Checkpoint(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointRestore: one CheckpointSink.Restore of the aged
+// stream's checkpoint from disk — what every restart pays: read, parse,
+// validate, install.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	_, data := agedCheckpoint(b)
+	path := filepath.Join(b.TempDir(), "state.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, report, err := NewCheckpointSink(path).Restore(1); err != nil || !report.Resumed {
+			b.Fatalf("restore: %+v, %v", report, err)
 		}
 	}
 }

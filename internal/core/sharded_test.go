@@ -75,6 +75,9 @@ func feed(t *testing.T, eng streamEngine, batches [][]BatchVote) {
 		if _, err := eng.AddBatch(b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
+		if st := engineStream(eng); st != nil {
+			requireOracleBytes(t, st)
+		}
 	}
 }
 

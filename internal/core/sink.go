@@ -416,16 +416,9 @@ func (s *CheckpointSink) removeTemps(fsys fault.FS) {
 
 // readFile returns a file's contents and whether it exists.
 func readFile(fsys fault.FS, name string) ([]byte, bool, error) {
-	f, err := fsys.Open(name)
+	data, err := fsys.ReadFile(name)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("core: opening checkpoint %s: %w", name, err)
-	}
-	data, err := io.ReadAll(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("core: reading checkpoint %s: %w", name, err)

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -229,6 +228,9 @@ func TestInjectFSCrashAtRemove(t *testing.T) {
 		if _, err := fs.ReadDir(dir); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("applied=%v: ReadDir after crash = %v, want ErrCrashed", applied, err)
 		}
+		if _, err := fs.ReadFile(name); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("applied=%v: ReadFile after crash = %v, want ErrCrashed", applied, err)
+		}
 	}
 }
 
@@ -270,14 +272,7 @@ func TestOSFSRoundTrip(t *testing.T) {
 	if err := fs.SyncDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	f, err := fs.Open(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	data, err := fs.ReadFile(target)
 	if err != nil {
 		t.Fatal(err)
 	}

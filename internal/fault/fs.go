@@ -5,11 +5,10 @@ import (
 	"os"
 )
 
-// File is the slice of *os.File the checkpoint sink needs: sequential
-// read/write plus the durability calls (Sync) whose failure modes the
-// injecting implementation simulates.
+// File is the slice of *os.File the checkpoint sink writes through:
+// sequential writes plus the durability calls (Sync) whose failure modes
+// the injecting implementation simulates.
 type File interface {
-	io.Reader
 	io.Writer
 	// Name returns the file's path as opened.
 	Name() string
@@ -29,8 +28,9 @@ type File interface {
 type FS interface {
 	// CreateTemp creates a new temporary file in dir (see os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)
-	// Open opens a file for reading.
-	Open(name string) (File, error)
+	// ReadFile returns a file's contents, read with one allocation sized
+	// from the file's length (see os.ReadFile).
+	ReadFile(name string) ([]byte, error)
 	// OpenAppend opens a file for writing at its end, creating it when
 	// missing (os.O_WRONLY|os.O_CREATE|os.O_APPEND, mode 0644).
 	OpenAppend(name string) (File, error)
@@ -57,13 +57,7 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
-func (osFS) Open(name string) (File, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
+func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 func (osFS) OpenAppend(name string) (File, error) {
 	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)

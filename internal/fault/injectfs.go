@@ -142,17 +142,13 @@ func (f *InjectFS) CreateTemp(dir, pattern string) (File, error) {
 	return &injectFile{fs: f, inner: inner}, nil
 }
 
-func (f *InjectFS) Open(name string) (File, error) {
+func (f *InjectFS) ReadFile(name string) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.checkAlive(); err != nil {
 		return nil, err
 	}
-	inner, err := f.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &injectFile{fs: f, inner: inner}, nil
+	return f.inner.ReadFile(name)
 }
 
 func (f *InjectFS) OpenAppend(name string) (File, error) {
@@ -224,16 +220,6 @@ type injectFile struct {
 }
 
 func (c *injectFile) Name() string { return c.inner.Name() }
-
-func (c *injectFile) Read(p []byte) (int, error) {
-	c.fs.mu.Lock()
-	if err := c.fs.checkAlive(); err != nil {
-		c.fs.mu.Unlock()
-		return 0, err
-	}
-	c.fs.mu.Unlock()
-	return c.inner.Read(p)
-}
 
 func (c *injectFile) Write(p []byte) (int, error) {
 	c.fs.mu.Lock()
