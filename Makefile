@@ -1,12 +1,18 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-invariants vet lint lint-json race check bench bench-smoke fuzz-smoke robustness-smoke daemon-smoke perfbench-test golden
+.PHONY: all build fmt test test-invariants vet lint lint-json race check bench-smoke fuzz-smoke robustness-smoke daemon-smoke perfbench-test golden
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any tracked Go file is not gofmt-clean, listing the files
+# that drifted; run gofmt -w on them to fix.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -42,8 +48,8 @@ lint:
 lint-json:
 	-$(GO) run ./cmd/corrolint -json -baseline lint.baseline ./... > corrolint.json
 
-# The race target covers internal/core — the parallel ∆H ranker, the sharded
-# stream's worker pool, and the fault-injection suite (worker panics,
+# The race target covers internal/core — the stream's shard worker pool,
+# the lazy-PQ ranker's caches, and the fault-injection suite (worker panics,
 # mid-batch cancellation, filesystem faults) — plus internal/fault itself,
 # the engine runtime, the serving layer's admission/drain/soak battery,
 # and the root package's per-method observer and mid-run-cancellation
@@ -64,19 +70,16 @@ golden:
 	$(GO) test -run TestGoldenDifferential -update .
 	$(GO) test -run TestAnalyzerGolden -update ./internal/lint
 
-# check is the CI gate: compile, static checks (vet + corrolint), the full
-# test suite with and without runtime invariants, and the race detector.
-check: build vet lint test test-invariants race
-
-# bench runs the core/score/entropy/truth/pipeline benchmarks and
-# refreshes BENCH_5.json (see scripts/bench.sh).
-bench:
-	sh scripts/bench.sh
+# check is the CI gate: formatting, compile, static checks (vet +
+# corrolint), the full test suite with and without runtime invariants, and
+# the race detector.
+check: fmt build vet lint test test-invariants race
 
 # bench-smoke compiles and single-steps every benchmark (-benchtime=1x,
 # -short skips the 200k-fact worlds): it proves the benchmarks still run —
 # a broken world builder or a renamed headline benchmark fails CI instead
-# of being discovered at the next BENCH_N refresh. No timing is recorded.
+# of being discovered when someone next profiles with them. No timing is
+# recorded; speed is measured by python3 perfbench/run.py (BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run='^$$' -bench . -benchtime=1x -benchmem -short ./internal/core ./internal/score ./internal/entropy ./internal/truth ./internal/pipeline
 

@@ -263,20 +263,9 @@ func runStream(paths []string, shards int, checkpointPath string, decay *float64
 	if decay != nil {
 		// The decay factor is part of a stream's identity and travels in the
 		// checkpoint: a fresh stream takes the flag, a resumed one must agree
-		// with it (1 and 0 are both the normalized "off" value).
-		if st.Batches() > 0 {
-			want := *decay
-			//lint:ignore floatexact 1 is the exact identity-scale sentinel; values near 1 are legitimate slow decay factors
-			if want == 1 {
-				want = 0
-			}
-			//lint:ignore floatexact the checkpoint round-trips the configured factor bit-exactly; any difference is a real configuration conflict
-			if st.TrustDecay() != want {
-				return fmt.Errorf("checkpoint %s carries trust decay %v; -decay %v conflicts (drop the flag or start a fresh stream)",
-					checkpointPath, st.TrustDecay(), *decay)
-			}
-		} else if err := st.SetTrustDecay(*decay); err != nil {
-			return err
+		// with it.
+		if err := st.SetTrustDecay(*decay); err != nil {
+			return fmt.Errorf("checkpoint %s: %w (drop the flag or start a fresh stream)", checkpointPath, err)
 		}
 	}
 	if d := st.TrustDecay(); d != 0 {

@@ -1,6 +1,7 @@
 // Command loadgen replays seeded synthetic vote streams against a running
 // corrod daemon at a configured QPS and reports ingest and query latency
-// percentiles as JSON (the "serve" section of BENCH_4.json).
+// percentiles as JSON (BENCH_4.json keeps one run as history; speed
+// claims come from python3 perfbench/run.py).
 //
 // The vote stream comes from internal/synth's scenario generator — the
 // same seeded worlds the robustness suite uses — so a load run is

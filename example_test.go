@@ -61,7 +61,7 @@ func ExampleTwoEstimate() {
 // Streaming corroboration: the first batch exposes a source; the second
 // batch's affirmative-only facts are judged by the carried trust.
 func ExampleStream() {
-	st := corroborate.NewStream()
+	st := corroborate.NewShardedStream(1)
 	_, err := st.AddBatch([]corroborate.BatchVote{
 		{Fact: "x1", Source: "flagger", Vote: corroborate.Deny},
 		{Fact: "x1", Source: "laggard", Vote: corroborate.Affirm},

@@ -3,7 +3,7 @@
 // accumulated from everything seen before, and verdicts on brand-new facts
 // come purely from the carried multi-value trust — no re-processing of old
 // data. The second act checkpoints the stream to a byte buffer and resumes
-// it in a sharded engine: restored state and shard count never change a
+// it with four shards: restored state and shard count never change a
 // verdict. The final act moves the checkpoint to disk through the
 // crash-safe CheckpointSink and shows its self-healing resume: a corrupt
 // checkpoint is quarantined and the service starts fresh instead of
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	stream := corroborate.NewStream()
+	stream := corroborate.NewShardedStream(1)
 
 	// Day 1: the first crawl increment. MenuPages marks three of
 	// YellowPages' listings CLOSED; a block of listings is well backed.
@@ -48,8 +48,8 @@ func main() {
 	}
 	fmt.Printf("checkpoint after day 1: %d bytes\n\n", snapshot.Len())
 
-	// Day 2 runs on a restored engine — here a sharded one, which fans each
-	// batch's fact groups across four workers. Checkpoints are
+	// Day 2 runs on a restored stream — here with four shards, which fans
+	// each batch's fact groups across four workers. Checkpoints are
 	// shard-agnostic and sharding never changes output, so this continues
 	// the day-1 stream exactly.
 	restored, err := corroborate.RestoreShardedStream(&snapshot, 4)
@@ -115,12 +115,7 @@ func main() {
 		rep.Resumed, filepath.Base(rep.QuarantinedPath), fresh.Batches())
 }
 
-// engine is the batch surface shared by Stream and ShardedStream.
-type engine interface {
-	AddBatch([]corroborate.BatchVote) ([]corroborate.StreamFact, error)
-}
-
-func report(stream engine, batch []corroborate.BatchVote, title string) {
+func report(stream *corroborate.Stream, batch []corroborate.BatchVote, title string) {
 	out, err := stream.AddBatch(batch)
 	if err != nil {
 		log.Fatal(err)

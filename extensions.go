@@ -19,11 +19,10 @@ import (
 type (
 	// Stream is the online form of the incremental algorithm: votes
 	// arrive in batches and the multi-value trust carries across batches.
+	// With more than one shard, each batch's fact groups are corroborated
+	// across a signature-sharded worker pool; the output is byte-identical
+	// for any shard count.
 	Stream = core.Stream
-	// ShardedStream corroborates each batch's fact groups across a
-	// signature-sharded worker pool; its output is byte-identical to
-	// Stream for any shard count.
-	ShardedStream = core.ShardedStream
 	// BatchVote is one vote of a stream batch.
 	BatchVote = core.BatchVote
 	// StreamFact is one corroborated fact of a stream.
@@ -37,8 +36,6 @@ type (
 	// backoff, per-batch log records appended between saves (Commit), and
 	// quarantine of corrupt checkpoints and logs on resume.
 	CheckpointSink = core.CheckpointSink
-	// Checkpointer is anything a CheckpointSink can save.
-	Checkpointer = core.Checkpointer
 	// RestoreReport describes how CheckpointSink.Restore found the
 	// checkpoint: resumed, fresh, or quarantined-and-fresh.
 	RestoreReport = core.RestoreReport
@@ -52,20 +49,16 @@ type (
 	Interval = metrics.Interval
 )
 
-// NewStream returns an empty corroboration stream using the scale profile.
-func NewStream() *Stream { return core.NewStream() }
+// NewShardedStream returns an empty corroboration stream using the scale
+// profile with the given shard count (clamped to at least 1; 1 decides
+// every batch sequentially).
+func NewShardedStream(shards int) *Stream { return core.NewShardedStream(shards) }
 
-// NewShardedStream returns an empty sharded corroboration stream with the
-// given shard count (clamped to at least 1).
-func NewShardedStream(shards int) *ShardedStream { return core.NewShardedStream(shards) }
-
-// RestoreStream reads a checkpoint written by Stream.Checkpoint and returns
-// a stream that continues the checkpointed one exactly.
-func RestoreStream(r io.Reader) (*Stream, error) { return core.RestoreStream(r) }
-
-// RestoreShardedStream restores a checkpoint into a sharded stream;
-// checkpoints are shard-agnostic, so any shard count continues identically.
-func RestoreShardedStream(r io.Reader, shards int) (*ShardedStream, error) {
+// RestoreShardedStream reads a checkpoint written by Stream.Checkpoint and
+// returns a stream with the given shard count that continues the
+// checkpointed one exactly; checkpoints are shard-agnostic, so any shard
+// count continues identically.
+func RestoreShardedStream(r io.Reader, shards int) (*Stream, error) {
 	return core.RestoreShardedStream(r, shards)
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 func TestStreamPublicAPI(t *testing.T) {
-	st := corroborate.NewStream()
+	st := corroborate.NewShardedStream(1)
 	out, err := st.AddBatch([]corroborate.BatchVote{
 		{Fact: "a", Source: "s1", Vote: corroborate.Affirm},
 		{Fact: "b", Source: "s1", Vote: corroborate.Deny},
@@ -34,7 +34,7 @@ func TestShardedStreamPublicAPI(t *testing.T) {
 		{Fact: "b", Source: "s1", Vote: corroborate.Deny},
 		{Fact: "b", Source: "s2", Vote: corroborate.Affirm},
 	}
-	st := corroborate.NewStream()
+	st := corroborate.NewShardedStream(1)
 	ss := corroborate.NewShardedStream(4)
 	if ss.Shards() != 4 {
 		t.Fatalf("Shards = %d", ss.Shards())
@@ -58,7 +58,7 @@ func TestShardedStreamPublicAPI(t *testing.T) {
 }
 
 func TestCheckpointPublicAPI(t *testing.T) {
-	st := corroborate.NewStream()
+	st := corroborate.NewShardedStream(1)
 	if _, err := st.AddBatch([]corroborate.BatchVote{
 		{Fact: "a", Source: "s1", Vote: corroborate.Affirm},
 		{Fact: "b", Source: "s2", Vote: corroborate.Deny},
@@ -72,7 +72,7 @@ func TestCheckpointPublicAPI(t *testing.T) {
 	}
 	snapshot := buf.Bytes()
 
-	restored, err := corroborate.RestoreStream(bytes.NewReader(snapshot))
+	restored, err := corroborate.RestoreShardedStream(bytes.NewReader(snapshot), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCheckpointPublicAPI(t *testing.T) {
 	if sharded.Batches() != 1 {
 		t.Fatalf("sharded restore lost the batch log")
 	}
-	if _, err := corroborate.RestoreStream(strings.NewReader("not a checkpoint")); err == nil {
+	if _, err := corroborate.RestoreShardedStream(strings.NewReader("not a checkpoint"), 1); err == nil {
 		t.Fatal("garbage restored without error")
 	}
 }

@@ -15,8 +15,8 @@ import (
 // A checkpoint is a complete snapshot of a stream's corroboration state —
 // configuration, source table with the multi-value trust accumulators, and
 // the decided-fact log — taken after any batch. Restoring it into a fresh
-// Stream (or ShardedStream, with any shard count) continues the stream
-// exactly: every subsequent AddBatch produces byte-identical output to the
+// Stream, with any shard count, continues the stream exactly: every
+// subsequent AddBatch produces byte-identical output to the
 // uninterrupted stream, because the trust credits are serialized as exact
 // float64 round-trips and the source table preserves interning order (the
 // order defines vote signatures).
@@ -127,9 +127,7 @@ func decodeName(plain, b64, what string, i int) (string, error) {
 // deterministic: checkpointing the same state twice produces identical
 // bytes, and encode→decode→re-encode is a fixed point (FuzzCheckpoint).
 func (st *Stream) Checkpoint(w io.Writer) error {
-	st.mu.Lock()
-	data, err := st.encodeLocked()
-	st.mu.Unlock()
+	data, err := st.encode()
 	if err != nil {
 		return err
 	}
@@ -137,7 +135,10 @@ func (st *Stream) Checkpoint(w io.Writer) error {
 	return err
 }
 
-func (st *Stream) encodeLocked() ([]byte, error) {
+// encode returns the stream's checkpoint bytes.
+func (st *Stream) encode() ([]byte, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	w := jsonWriter{b: make([]byte, 0, st.checkpointSizeHint())}
 	w.raw(`{"format":`)
 	w.str(checkpointFormat)
@@ -268,34 +269,20 @@ func checksum(payload []byte) string {
 	return string(appendChecksum(nil, payload))
 }
 
-// RestoreStream reads a checkpoint and returns a fresh Stream that
-// continues the checkpointed stream exactly.
-func RestoreStream(r io.Reader) (*Stream, error) {
+// RestoreShardedStream reads a checkpoint and returns a fresh Stream with
+// the given shard count that continues the checkpointed stream exactly.
+// Checkpoints are shard-agnostic: the same checkpoint restores into any
+// shard count with byte-identical continuation.
+func RestoreShardedStream(r io.Reader, shards int) (*Stream, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
-	st := NewStream()
+	st := NewShardedStream(shards)
 	if _, err := restoreInto(st, data, nil); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// RestoreShardedStream reads a checkpoint and returns a fresh
-// ShardedStream with the given shard count. Checkpoints are
-// shard-agnostic: the same checkpoint restores into any shard count (or a
-// plain Stream) with byte-identical continuation.
-func RestoreShardedStream(r io.Reader, shards int) (*ShardedStream, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
-	}
-	ss := NewShardedStream(shards)
-	if _, err := restoreInto(&ss.Stream, data, nil); err != nil {
-		return nil, err
-	}
-	return ss, nil
 }
 
 // restoreInto decodes a base checkpoint, replays its log (nil for none)

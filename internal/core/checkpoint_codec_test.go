@@ -40,7 +40,7 @@ var boundaryFloats = []float64{
 // format boundaries.
 func TestCodecWritesOracleBytes(t *testing.T) {
 	for _, decay := range []float64{0, 0.7} {
-		st := NewStream()
+		st := NewShardedStream(1)
 		if err := st.SetTrustDecay(decay); err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestCodecRefusesWhatOracleCannotEncode(t *testing.T) {
 		func(st *Stream) { st.state.defaultTrust = math.NaN() },
 		func(st *Stream) { st.decided[0].Prediction = truth.Label(9) },
 	} {
-		st := NewStream()
+		st := NewShardedStream(1)
 		feed(t, st, splitByFact(randomDataset(3, 4, 20), 2))
 		st.mu.Lock()
 		poke(st)

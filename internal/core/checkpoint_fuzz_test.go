@@ -24,7 +24,7 @@ import (
 // fuzzing (make fuzz-smoke does a bounded pass).
 func FuzzCheckpoint(f *testing.F) {
 	// A live checkpoint with real state.
-	st := NewStream()
+	st := NewShardedStream(1)
 	if _, err := st.AddBatch([]BatchVote{
 		{Fact: "a", Source: "s1", Vote: truth.Affirm},
 		{Fact: "a", Source: "s2", Vote: truth.Affirm},
@@ -45,7 +45,7 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add(live.Bytes())
 	// An empty checkpoint.
 	var empty bytes.Buffer
-	if err := NewStream().Checkpoint(&empty); err != nil {
+	if err := NewShardedStream(1).Checkpoint(&empty); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
@@ -61,7 +61,7 @@ func FuzzCheckpoint(f *testing.F) {
 		{Fact: "probe", Source: "fresh", Vote: truth.Affirm},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		first, err := RestoreStream(bytes.NewReader(data))
+		first, err := RestoreShardedStream(bytes.NewReader(data), 1)
 		if err != nil {
 			return // rejected input may fail, but must not panic
 		}
@@ -69,7 +69,7 @@ func FuzzCheckpoint(f *testing.F) {
 		if err := first.Checkpoint(&enc1); err != nil {
 			t.Fatalf("re-encoding an accepted checkpoint: %v", err)
 		}
-		second, err := RestoreStream(bytes.NewReader(enc1.Bytes()))
+		second, err := RestoreShardedStream(bytes.NewReader(enc1.Bytes()), 1)
 		if err != nil {
 			t.Fatalf("canonical re-encode failed to restore: %v", err)
 		}
@@ -135,7 +135,7 @@ func corpusInputs(tb testing.TB, dir string) [][][]byte {
 func codecSeedStreams(tb testing.TB) []*Stream {
 	var out []*Stream
 	for _, decay := range []float64{0, 0.6} {
-		st := NewStream()
+		st := NewShardedStream(1)
 		if err := st.SetTrustDecay(decay); err != nil {
 			tb.Fatal(err)
 		}
@@ -197,14 +197,14 @@ func FuzzCheckpointCodec(f *testing.F) {
 	for _, args := range corpusInputs(f, "testdata/fuzz/FuzzCheckpoint") {
 		seeds = append(seeds, args...)
 	}
-	for _, st := range append(codecSeedStreams(f), NewStream()) {
+	for _, st := range append(codecSeedStreams(f), NewShardedStream(1)) {
 		var buf bytes.Buffer
 		if err := st.Checkpoint(&buf); err != nil {
 			f.Fatal(err)
 		}
 		seeds = append(seeds, buf.Bytes())
 	}
-	boundary := NewStream()
+	boundary := NewShardedStream(1)
 	if _, err := boundary.AddBatch([]BatchVote{{Fact: "f", Source: "s", Vote: truth.Affirm}}); err != nil {
 		f.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func FuzzCheckpointCodec(f *testing.F) {
 		if cs == nil || cs.validate() != nil {
 			return
 		}
-		st := NewStream()
+		st := NewShardedStream(1)
 		if err := install(st, cs); err != nil {
 			t.Fatalf("install of a validated state: %v", err)
 		}

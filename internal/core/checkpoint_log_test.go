@@ -34,7 +34,7 @@ func sameShapedBatch(b int) []BatchVote {
 
 // agedSink feeds a stream history same-shaped batches and commits the last
 // through a fresh sink, which writes it as the base.
-func agedSink(t *testing.T, history int) (*CheckpointSink, *ShardedStream) {
+func agedSink(t *testing.T, history int) (*CheckpointSink, *Stream) {
 	t.Helper()
 	sink := NewCheckpointSink(filepath.Join(t.TempDir(), "state.json"))
 	st := NewShardedStream(1)

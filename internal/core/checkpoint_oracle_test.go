@@ -177,17 +177,6 @@ func requireOracleBytes(t *testing.T, st *Stream) {
 	}
 }
 
-// engineStream returns the Stream under a streamEngine.
-func engineStream(eng streamEngine) *Stream {
-	switch e := eng.(type) {
-	case *Stream:
-		return e
-	case *ShardedStream:
-		return &e.Stream
-	}
-	return nil
-}
-
 // TestCodecKeysMatchTags: the codec's key lists are the json tags of the
 // types they decode, in field order — the order the writer emits them in.
 func TestCodecKeysMatchTags(t *testing.T) {

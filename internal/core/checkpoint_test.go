@@ -23,11 +23,11 @@ func checkpointBytes(t *testing.T, st *Stream) []byte {
 }
 
 func TestCheckpointRoundTripEmptyStream(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	data := checkpointBytes(t, st)
-	restored, err := RestoreStream(bytes.NewReader(data))
+	restored, err := RestoreShardedStream(bytes.NewReader(data), 1)
 	if err != nil {
-		t.Fatalf("RestoreStream: %v", err)
+		t.Fatalf("RestoreShardedStream: %v", err)
 	}
 	if restored.Batches() != 0 || len(restored.Decided()) != 0 || len(restored.Trust()) != 0 {
 		t.Fatal("restored empty stream is not empty")
@@ -45,7 +45,7 @@ func TestCheckpointRoundTripEmptyStream(t *testing.T) {
 }
 
 func TestCheckpointDeterministicEncoding(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	feed(t, st, splitByFact(randomDataset(3, 5, 60), 3))
 	if a, b := checkpointBytes(t, st), checkpointBytes(t, st); !bytes.Equal(a, b) {
 		t.Fatal("two checkpoints of the same state differ")
@@ -59,7 +59,7 @@ func TestCheckpointContinuationIdentity(t *testing.T) {
 	d := randomDataset(11, 6, 120)
 	batches := splitByFact(d, 5)
 	for cut := 0; cut <= len(batches); cut++ {
-		ref := NewStream()
+		ref := NewShardedStream(1)
 		var snap []byte
 		for i, b := range batches {
 			if i == cut {
@@ -73,7 +73,7 @@ func TestCheckpointContinuationIdentity(t *testing.T) {
 			snap = checkpointBytes(t, ref)
 		}
 
-		restored, err := RestoreStream(bytes.NewReader(snap))
+		restored, err := RestoreShardedStream(bytes.NewReader(snap), 1)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -94,14 +94,14 @@ func TestCheckpointContinuationIdentity(t *testing.T) {
 // TestCheckpointPreservesConfig: every knob must survive the round trip, in
 // particular the strategy serialized by name.
 func TestCheckpointPreservesConfig(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	st.Config = IncEstimate{
 		Strategy: SelectHeu, InitialTrust: 0.7, MaxRounds: 9, CandidateCap: 3,
 		FullGroups: true, FlipDeltaH: true, SoftAbsorb: true,
 		AnchoredTrust: true, DeferBand: 0.25,
 	}
 	feed(t, st, splitByFact(randomDataset(21, 4, 30), 2))
-	restored, err := RestoreStream(bytes.NewReader(checkpointBytes(t, st)))
+	restored, err := RestoreShardedStream(bytes.NewReader(checkpointBytes(t, st)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCheckpointPreservesConfig(t *testing.T) {
 // TestCheckpointRejectsCorruption: every corruption mode must surface as an
 // error, never a panic or a half-restored stream.
 func TestCheckpointRejectsCorruption(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	feed(t, st, splitByFact(randomDataset(5, 4, 25), 2))
 	valid := string(checkpointBytes(t, st))
 
@@ -133,7 +133,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RestoreStream(strings.NewReader(tc.data))
+			_, err := RestoreShardedStream(strings.NewReader(tc.data), 1)
 			if err == nil {
 				t.Fatal("corrupted checkpoint restored without error")
 			}
@@ -148,7 +148,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 // the semantic validator (not the CRC) is what must catch it.
 func forgeCheckpoint(t *testing.T, mutate func(state string) string) []byte {
 	t.Helper()
-	st := NewStream()
+	st := NewShardedStream(1)
 	feed(t, st, splitByFact(randomDataset(5, 4, 25), 2))
 	var env checkpointEnvelope
 	if err := json.Unmarshal(checkpointBytes(t, st), &env); err != nil {
@@ -215,7 +215,7 @@ func TestCheckpointRejectsInvalidState(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := forgeCheckpoint(t, tc.mutate)
-			_, err := RestoreStream(bytes.NewReader(data))
+			_, err := RestoreShardedStream(bytes.NewReader(data), 1)
 			if err == nil {
 				t.Fatal("invalid state restored without error")
 			}
@@ -271,7 +271,7 @@ func mustMarshal(v any) json.RawMessage {
 // non-UTF-8 name, and JSON-hostile characters.
 func TestCheckpointRestoreFreshSymbolTable(t *testing.T) {
 	weird := []string{"", "\xff\xfe", "s\x00null", "quote\"brace}", "line\nbreak", "plain"}
-	st := NewStream()
+	st := NewShardedStream(1)
 	var batch []BatchVote
 	for i, name := range weird {
 		batch = append(batch,
@@ -284,9 +284,9 @@ func TestCheckpointRestoreFreshSymbolTable(t *testing.T) {
 	}
 	snap := checkpointBytes(t, st)
 
-	restored, err := RestoreStream(bytes.NewReader(snap))
+	restored, err := RestoreShardedStream(bytes.NewReader(snap), 1)
 	if err != nil {
-		t.Fatalf("RestoreStream: %v", err)
+		t.Fatalf("RestoreShardedStream: %v", err)
 	}
 	// The fresh interner must have re-derived the exact table: same names,
 	// same IDs, same length.

@@ -174,7 +174,7 @@ func BenchmarkIncEstimate(b *testing.B) {
 // preserved under the Dense name; BENCH_2's notes record the reshape. The
 // 200k-fact runs cover the ROADMAP's next scale tier at the same
 // co-listing density and are skipped under -short (CI's bench-smoke runs
-// with -benchtime=1x, full runs via scripts/bench.sh).
+// with -benchtime=1x; full runs are plain go test -bench).
 func BenchmarkIncEstimateLarge(b *testing.B) {
 	crawl := bigBenchWorld(2000, 50000, 1000)
 	for _, e := range []*IncEstimate{NewHeu(), NewScale()} {
@@ -227,7 +227,7 @@ func BenchmarkStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := NewStream()
+		st := NewShardedStream(1)
 		if _, err := st.AddBatch(votes); err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkStream(b *testing.B) {
 // batches of 40 facts from 10 honest slots churning at 0.2 — ~2×10⁴
 // decided facts and ~10³ sources, a ~1.8 MB checkpoint. It is built once
 // per test binary and must not be fed further.
-var agedStream = sync.OnceValues(func() (*ShardedStream, error) {
+var agedStream = sync.OnceValues(func() (*Stream, error) {
 	world, err := synth.GenerateScenario(synth.ScenarioConfig{
 		Batches: 500, FactsPerBatch: 40, HonestSources: 10, ChurnRate: 0.2, Seed: 1,
 	})
@@ -259,7 +259,7 @@ var agedStream = sync.OnceValues(func() (*ShardedStream, error) {
 })
 
 // agedCheckpoint returns the aged stream and its checkpoint.
-func agedCheckpoint(tb testing.TB) (*ShardedStream, []byte) {
+func agedCheckpoint(tb testing.TB) (*Stream, []byte) {
 	tb.Helper()
 	st, err := agedStream()
 	if err != nil {

@@ -46,7 +46,7 @@ func driftScenario() synth.ScenarioConfig {
 }
 
 func TestSetTrustDecayValidation(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	for _, bad := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1)} {
 		if err := st.SetTrustDecay(bad); err == nil {
 			t.Errorf("SetTrustDecay(%v) must fail", bad)
@@ -77,6 +77,58 @@ func TestSetTrustDecayValidation(t *testing.T) {
 	if got := st.TrustDecay(); got != 0.9 {
 		t.Errorf("failed SetTrustDecay moved the factor to %v", got)
 	}
+
+	// A restored stream past its first batch keeps its checkpoint's
+	// factor, whichever way it was restored: SetTrustDecay accepts that
+	// factor (1 counts as 0) and refuses any other, moving nothing.
+	decayed := checkpointBytes(t, st)
+	plain := NewShardedStream(1)
+	feed(t, plain, [][]BatchVote{{{Fact: "f", Source: "s", Vote: truth.Affirm}}})
+	off := checkpointBytes(t, plain)
+	restorers := []struct {
+		name    string
+		restore func(data []byte) (*Stream, error)
+	}{
+		{"RestoreShardedStream", func(data []byte) (*Stream, error) {
+			return RestoreShardedStream(bytes.NewReader(data), 1)
+		}},
+		{"CheckpointSink.Restore", func(data []byte) (*Stream, error) {
+			path := filepath.Join(t.TempDir(), "state.json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				return nil, err
+			}
+			st, report, err := NewCheckpointSink(path).Restore(1)
+			if err == nil && !report.Resumed {
+				err = fmt.Errorf("not resumed: %+v", report)
+			}
+			return st, err
+		}},
+	}
+	for _, tc := range []struct {
+		checkpoint []byte
+		lambda     float64
+		ok         bool
+	}{
+		{decayed, 0.9, true},
+		{decayed, 0.5, false},
+		{decayed, 0, false},
+		{off, 0, true},
+		{off, 1, true},
+	} {
+		for _, r := range restorers {
+			restored, err := r.restore(tc.checkpoint)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			want := restored.TrustDecay()
+			if err := restored.SetTrustDecay(tc.lambda); (err == nil) != tc.ok {
+				t.Errorf("%s: SetTrustDecay(%v) on a stream restored with decay %v: error %v, want success %v", r.name, tc.lambda, want, err, tc.ok)
+			}
+			if got := restored.TrustDecay(); got != want {
+				t.Errorf("%s: SetTrustDecay(%v) moved the restored factor %v to %v", r.name, tc.lambda, want, got)
+			}
+		}
+	}
 }
 
 // TestDecayDisabledMatchesGolden: a stream constructed through the decay
@@ -85,7 +137,7 @@ func TestSetTrustDecayValidation(t *testing.T) {
 func TestDecayDisabledMatchesGolden(t *testing.T) {
 	for _, cfg := range streamGoldenConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			st := NewStream()
+			st := NewShardedStream(1)
 			if err := st.SetTrustDecay(0); err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +158,7 @@ func TestDecayDisabledMatchesGolden(t *testing.T) {
 // byte-identity tests above prove nothing).
 func TestDecayChangesTrajectory(t *testing.T) {
 	batches := scenarioBatches(t, driftScenario())
-	plain, decayed := NewStream(), NewStream()
+	plain, decayed := NewShardedStream(1), NewShardedStream(1)
 	if err := decayed.SetTrustDecay(0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +177,14 @@ func TestDecayChangesTrajectory(t *testing.T) {
 	}
 }
 
-// TestDecayShardDifferential: with decay enabled, ShardedStream output is
+// TestDecayShardDifferential: with decay enabled, a stream's output is
 // byte-identical across shard counts {1, 4, 7} and to the sequential
 // stream, on the forced-parallel path (run under -race in CI).
 func TestDecayShardDifferential(t *testing.T) {
 	defer forceStreamParallel()()
 	for _, lambda := range []float64{0.5, 0.9} {
 		batches := scenarioBatches(t, driftScenario())
-		ref := NewStream()
+		ref := NewShardedStream(1)
 		if err := ref.SetTrustDecay(lambda); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +205,7 @@ func TestDecayShardDifferential(t *testing.T) {
 // point, and the decay factor survives the trip.
 func TestDecayCheckpointRoundTrip(t *testing.T) {
 	batches := scenarioBatches(t, driftScenario())
-	full := NewStream()
+	full := NewShardedStream(1)
 	if err := full.SetTrustDecay(0.8); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +216,7 @@ func TestDecayCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshot := append([]byte(nil), buf.Bytes()...)
-	restored, err := RestoreStream(bytes.NewReader(snapshot))
+	restored, err := RestoreShardedStream(bytes.NewReader(snapshot), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +246,7 @@ func TestDecayCheckpointRoundTrip(t *testing.T) {
 // TestDecayCheckpointRejectsInconsistentMass: the strict decoder refuses
 // checkpoints whose decay fields are internally inconsistent.
 func TestDecayCheckpointRejectsInconsistentMass(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	if err := st.SetTrustDecay(0.8); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +297,7 @@ func TestDecayCheckpointRejectsInconsistentMass(t *testing.T) {
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
-			if _, err := RestoreStream(bytes.NewReader(forge(t, m.old, m.new))); err == nil {
+			if _, err := RestoreShardedStream(bytes.NewReader(forge(t, m.old, m.new)), 1); err == nil {
 				t.Fatal("mutated checkpoint must be rejected")
 			}
 		})
@@ -261,7 +313,7 @@ func TestDecayTrustBounds(t *testing.T) {
 		Drift: synth.DriftConfig{FlipSources: 2, FlipAt: 5},
 		Seed:  3,
 	})
-	st := NewStream()
+	st := NewShardedStream(1)
 	if err := st.SetTrustDecay(0.6); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +335,7 @@ func TestDecayRecoversFromFlip(t *testing.T) {
 		Drift: synth.DriftConfig{FlipSources: 1, FlipAt: 6},
 		Seed:  23,
 	})
-	plain, decayed := NewStream(), NewStream()
+	plain, decayed := NewShardedStream(1), NewShardedStream(1)
 	if err := decayed.SetTrustDecay(0.5); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	driver "corroborate/internal/engine"
 	"corroborate/internal/fault"
 	"corroborate/internal/truth"
 )
@@ -42,7 +43,7 @@ func TestWorkerPanicDegradesToSequential(t *testing.T) {
 		d := randomDataset(seed, 6, 120)
 		batches := splitByFact(d, 3)
 
-		ref := NewStream()
+		ref := NewShardedStream(1)
 		feed(t, ref, batches)
 
 		sigs := firstBatchSignatures(batches[0])
@@ -73,7 +74,7 @@ func TestPersistentPanicSurfacesTypedError(t *testing.T) {
 	d := randomDataset(5, 5, 80)
 	batches := splitByFact(d, 2)
 
-	ref := NewStream()
+	ref := NewShardedStream(1)
 	feed(t, ref, batches[:1])
 
 	ss := NewShardedStream(4)
@@ -146,7 +147,7 @@ func TestSequentialStreamPanicIsTypedAndAtomic(t *testing.T) {
 	panics := fault.NewPanics()
 	panics.Arm(sigs[0], 1)
 
-	st := NewStream()
+	st := NewShardedStream(1)
 	st.InjectPanics(panics)
 	_, err := st.AddBatch(votes)
 	var gp *GroupPanicError
@@ -161,7 +162,7 @@ func TestSequentialStreamPanicIsTypedAndAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewStream()
+	ref := NewShardedStream(1)
 	refOut, err := ref.AddBatch(votes)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func (c *countdownCtx) Err() error {
 func TestAddBatchContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st := NewStream()
+	st := NewShardedStream(1)
 	if _, err := st.AddBatchContext(ctx, batchVotesOf(randomDataset(2, 3, 10))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -257,17 +258,17 @@ func TestRunContextCancellation(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := e.RunContext(ctx, d); !errors.Is(err, context.Canceled) {
+		if _, err := e.RunWith(ctx, d, driver.Options{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("reference=%v: pre-cancelled error = %v, want context.Canceled", reference, err)
 		}
 
 		// Cancel at a later round boundary: the loop checks once per round.
-		if _, err := e.RunDetailedContext(newCountdownCtx(2), d); !errors.Is(err, context.Canceled) {
+		if _, err := e.RunDetailedWith(newCountdownCtx(2), d, driver.Options{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("reference=%v: mid-run error = %v, want context.Canceled", reference, err)
 		}
 
 		// An unpressured context changes nothing.
-		run, err := e.RunDetailedContext(context.Background(), d)
+		run, err := e.RunDetailedWith(context.Background(), d, driver.Options{})
 		if err != nil {
 			t.Fatalf("reference=%v: %v", reference, err)
 		}

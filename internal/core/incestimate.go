@@ -171,22 +171,14 @@ func (e *IncEstimate) Run(d *truth.Dataset) (*truth.Result, error) {
 	return run.Result, nil
 }
 
-// RunContext is Run under a context: cancellation or deadline expiry is
-// checked at every round boundary (time point) and aborts the run with an
-// error wrapping ctx.Err(). Rounds are never interrupted mid-flight, so a
-// cancelled run has absorbed either all or none of any round's outcomes.
-func (e *IncEstimate) RunContext(ctx context.Context, d *truth.Dataset) (*truth.Result, error) {
-	run, err := e.RunDetailedContext(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	return run.Result, nil
-}
-
 // RunWith implements driver.Runner: Options.MaxIter overrides MaxRounds
 // (the safety valve that sweeps everything left in one final round; an
 // explicit zero sweeps immediately under the initial trust), and an
-// Observer sees one Round per time point.
+// Observer sees one Round per time point. Cancellation or deadline expiry
+// of ctx is checked at every round boundary (time point) and aborts the
+// run with an error wrapping ctx.Err(). Rounds are never interrupted
+// mid-flight, so a cancelled run has absorbed either all or none of any
+// round's outcomes.
 func (e *IncEstimate) RunWith(ctx context.Context, d *truth.Dataset, opts driver.Options) (*truth.Result, error) {
 	run, err := e.RunDetailedWith(ctx, d, opts)
 	if err != nil {
@@ -198,16 +190,11 @@ func (e *IncEstimate) RunWith(ctx context.Context, d *truth.Dataset, opts driver
 // RunDetailed executes the algorithm and returns the result together with
 // the trust trajectory of every time point.
 func (e *IncEstimate) RunDetailed(d *truth.Dataset) (*Run, error) {
-	return e.RunDetailedContext(context.Background(), d)
+	return e.RunDetailedWith(context.Background(), d, driver.Options{})
 }
 
-// RunDetailedContext is RunDetailed under a context, with the same
-// round-boundary cancellation contract as RunContext.
-func (e *IncEstimate) RunDetailedContext(ctx context.Context, d *truth.Dataset) (*Run, error) {
-	return e.RunDetailedWith(ctx, d, driver.Options{})
-}
-
-// RunDetailedWith is RunDetailedContext under the shared run options.
+// RunDetailedWith is RunDetailed under a context and the shared run
+// options, with the same round-boundary cancellation contract as RunWith.
 func (e *IncEstimate) RunDetailedWith(ctx context.Context, d *truth.Dataset, opts driver.Options) (*Run, error) {
 	if e.Strategy != SelectHeu && e.Strategy != SelectPS && e.Strategy != SelectScale && e.Strategy != SelectHybrid {
 		return nil, fmt.Errorf("core: unknown selector %d", int(e.Strategy))

@@ -118,7 +118,7 @@ func TestStreamInvariantsOnRandomWorlds(t *testing.T) {
 		if len(votes) == 0 {
 			return true
 		}
-		st := NewStream()
+		st := NewShardedStream(1)
 		out, err := st.AddBatch(votes)
 		if err != nil {
 			return false
@@ -267,7 +267,7 @@ func TestMetamorphicSourceRelabeling(t *testing.T) {
 			requireRunsIdentical(t, fmt.Sprintf("%s/%s", wname, e.Name()), again, base)
 		}
 
-		st1, st2 := NewStream(), NewStream()
+		st1, st2 := NewShardedStream(1), NewShardedStream(1)
 		feed(t, st1, splitByFact(d, 3))
 		feed(t, st2, splitByFact(renamed, 3))
 		d1, d2 := st1.Decided(), st2.Decided()
@@ -355,7 +355,7 @@ func TestMetamorphicFactOrderStream(t *testing.T) {
 			warm = append(warm, BatchVote{Fact: "warm-up", Source: name, Vote: truth.Affirm})
 		}
 		run := func(perm []int) *Stream {
-			st := NewStream()
+			st := NewShardedStream(1)
 			feed(t, st, [][]BatchVote{warm, batchVotesOf(permuteFacts(d, perm))})
 			return st
 		}
@@ -429,7 +429,7 @@ func TestMetamorphicVoteDuplication(t *testing.T) {
 		// The stream inherits the same exactness: per-group decisions only
 		// read the posting lists (unchanged), and absorption scales credit
 		// and count by the same factor of two.
-		st1, st2 := NewStream(), NewStream()
+		st1, st2 := NewShardedStream(1), NewShardedStream(1)
 		feed(t, st1, splitByFact(d, 3))
 		feed(t, st2, splitByFact(dd, 3))
 		byName := func(st *Stream) map[string]StreamFact {

@@ -44,7 +44,7 @@ func TestRestoreStreamMidDrainByteIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			// The interrupted run: cut batches flushed, checkpoint written,
 			// process dies.
-			first := NewStream()
+			first := NewShardedStream(1)
 			feed(t, first, batches[:cut])
 			var mid bytes.Buffer
 			if err := first.Checkpoint(&mid); err != nil {
@@ -52,7 +52,7 @@ func TestRestoreStreamMidDrainByteIdentity(t *testing.T) {
 			}
 
 			// Restart from the mid-drain checkpoint and finish the stream.
-			resumed, err := RestoreStream(bytes.NewReader(mid.Bytes()))
+			resumed, err := RestoreShardedStream(bytes.NewReader(mid.Bytes()), 1)
 			if err != nil {
 				t.Fatalf("restoring mid-drain checkpoint: %v", err)
 			}
@@ -120,15 +120,15 @@ func TestRestoreShardedStreamMidDrainByteIdentity(t *testing.T) {
 func prefixCheckpoints(t *testing.T, batches [][]BatchVote, decay float64) [][]byte {
 	t.Helper()
 	st := decayedStream(t, 1, decay)
-	out := [][]byte{checkpointBytes(t, &st.Stream)}
+	out := [][]byte{checkpointBytes(t, st)}
 	for _, b := range batches {
 		feed(t, st, [][]BatchVote{b})
-		out = append(out, checkpointBytes(t, &st.Stream))
+		out = append(out, checkpointBytes(t, st))
 	}
 	return out
 }
 
-func decayedStream(t *testing.T, shards int, decay float64) *ShardedStream {
+func decayedStream(t *testing.T, shards int, decay float64) *Stream {
 	t.Helper()
 	st := NewShardedStream(shards)
 	if err := st.SetTrustDecay(decay); err != nil {
@@ -174,7 +174,7 @@ func requireResume(t *testing.T, path string, batches [][]BatchVote, prefixes []
 			t.Fatal(err)
 		}
 	}
-	if got := checkpointBytes(t, &st.Stream); !bytes.Equal(got, prefixes[want]) {
+	if got := checkpointBytes(t, st); !bytes.Equal(got, prefixes[want]) {
 		t.Fatalf("restored state differs from the uninterrupted stream after %d batches", want)
 	}
 	if temps, _ := filepath.Glob(path + ".tmp-*"); len(temps) != 0 {
@@ -193,7 +193,7 @@ func requireResume(t *testing.T, path string, batches [][]BatchVote, prefixes []
 	if err != nil || !report.Resumed {
 		t.Fatalf("final restore: report %+v, err %v", report, err)
 	}
-	if got := checkpointBytes(t, &final.Stream); !bytes.Equal(got, prefixes[len(batches)]) {
+	if got := checkpointBytes(t, final); !bytes.Equal(got, prefixes[len(batches)]) {
 		t.Fatal("resumed run diverges from the uninterrupted run")
 	}
 }
@@ -240,7 +240,7 @@ func TestRestoreBaseAndLogByteIdentity(t *testing.T) {
 					if err != nil || !report.Resumed {
 						t.Fatalf("after batch %d: report %+v, err %v", k, report, err)
 					}
-					if got := checkpointBytes(t, &restored.Stream); !bytes.Equal(got, prefixes[k+1]) {
+					if got := checkpointBytes(t, restored); !bytes.Equal(got, prefixes[k+1]) {
 						t.Fatalf("after batch %d (compacted %v): base+log restore differs from the full checkpoint", k, compacted[k])
 					}
 				}

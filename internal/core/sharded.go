@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"corroborate/internal/truth"
 )
 
 // streamShardThreshold is the group count below which a sharded stream
@@ -15,56 +13,6 @@ import (
 // decided values are identical either way — tests lower the threshold to
 // force the concurrent path on tiny batches.
 var streamShardThreshold = 16
-
-// ShardedStream is the scale-out form of Stream: incoming batches are
-// partitioned by fact-group signature into a fixed number of shards, the
-// shards are corroborated concurrently on a bounded worker pool (the same
-// pool shape and worker knob as the parallel ∆H ranker of PR 1), and the
-// per-shard outcomes are merged back in the globally sorted group order.
-//
-// Because every group of a batch is decided under the frozen batch-entry
-// trust (see Stream) and the merge replays the exact absorption sequence of
-// the sequential stream, a ShardedStream with ANY shard count produces
-// byte-identical trust state and decided-fact log to a plain Stream fed the
-// same batches — verified by the differential suite in sharded_test.go.
-//
-// A ShardedStream is safe for concurrent use, with the same contract as
-// Stream.
-type ShardedStream struct {
-	Stream
-	shards int
-}
-
-// NewShardedStream returns an empty sharded stream using the scale
-// profile. Shard counts below 1 are clamped to 1 (a sequential stream).
-func NewShardedStream(shards int) *ShardedStream {
-	if shards < 1 {
-		shards = 1
-	}
-	ss := &ShardedStream{shards: shards}
-	ss.Config = *NewScale()
-	ss.symtab = truth.NewInterner()
-	return ss
-}
-
-// Shards returns the configured shard count.
-func (ss *ShardedStream) Shards() int { return ss.shards }
-
-// AddBatch corroborates one batch across the stream's shards and merges
-// the outcomes deterministically. Output and state are byte-identical to
-// Stream.AddBatch on the same history.
-func (ss *ShardedStream) AddBatch(votes []BatchVote) ([]StreamFact, error) {
-	return ss.AddBatchContext(context.Background(), votes)
-}
-
-// AddBatchContext is AddBatch under a context, with the same atomic
-// rejection contract as Stream.AddBatchContext: a cancelled batch leaves
-// the stream at the previous batch boundary, valid and checkpointable.
-func (ss *ShardedStream) AddBatchContext(ctx context.Context, votes []BatchVote) ([]StreamFact, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.addBatchLocked(ctx, votes, ss.shards)
-}
 
 // shardOf assigns a fact-group signature to a shard via FNV-1a. The hash
 // only routes work; results never depend on the assignment.
@@ -79,10 +27,15 @@ func shardOf(signature string, shards int) int {
 
 // decideGroups fills raw and final decided probabilities (indexed by group
 // ordinal) for every group of a batch under the frozen batch-entry trust.
-// With shards > 1 and enough groups, the groups are partitioned by
-// signature hash and the shards are drained by a bounded worker pool; each
-// worker writes only its own shards' ordinal slots, so the fan-out is
-// data-race free and the filled arrays are independent of scheduling.
+// With more than one shard and enough groups, the groups are partitioned
+// by signature hash and the shards are drained by a bounded worker pool
+// (rankWorkers overrides its size); each worker writes
+// only its own shards' ordinal slots, so the fan-out is data-race free and
+// the filled arrays are independent of scheduling. Because every group is
+// decided under the frozen batch-entry trust and the caller merges in the
+// global sorted group order, a stream with ANY shard count produces
+// byte-identical trust state and decided-fact log to a one-shard stream fed
+// the same batches — verified by the differential suite in sharded_test.go.
 //
 // Failure handling is a degradation ladder. A panic inside a shard worker
 // is recovered into a *GroupPanicError and the whole batch is re-decided
@@ -92,7 +45,8 @@ func shardOf(signature string, shards int) int {
 // retry panics too (a deterministic bug, not a scheduling casualty) does
 // the error surface, and the caller rejects the batch atomically.
 // Cancellation aborts between groups and returns ctx.Err().
-func (st *Stream) decideGroups(ctx context.Context, groups []*group, trust []float64, shards int) (raw, final []float64, err error) {
+func (st *Stream) decideGroups(ctx context.Context, groups []*group, trust []float64) (raw, final []float64, err error) {
+	shards := st.shards
 	raw = make([]float64, len(groups))
 	final = make([]float64, len(groups))
 	if shards <= 1 || len(groups) < streamShardThreshold {
@@ -163,7 +117,7 @@ func (st *Stream) decideGroups(ctx context.Context, groups []*group, trust []flo
 // decideSequential decides every group in ordinal-slot order on the
 // calling goroutine, with panic containment and periodic cancellation
 // checks. It is both the small-batch fast path and the degraded retry
-// path of the sharded engine.
+// path of the shard fan-out.
 func (st *Stream) decideSequential(ctx context.Context, groups []*group, trust []float64, raw, final []float64) error {
 	for i, g := range groups {
 		if i&255 == 0 {

@@ -60,24 +60,14 @@ func splitByFact(d *truth.Dataset, parts int) [][]BatchVote {
 	return batches
 }
 
-// streamEngine is the common surface of Stream and ShardedStream the
-// differential tests drive.
-type streamEngine interface {
-	AddBatch([]BatchVote) ([]StreamFact, error)
-	Trust() map[string]float64
-	Decided() []StreamFact
-}
-
-// feed pushes every batch through the engine, failing the test on error.
-func feed(t *testing.T, eng streamEngine, batches [][]BatchVote) {
+// feed pushes every batch through the stream, failing the test on error.
+func feed(t *testing.T, st *Stream, batches [][]BatchVote) {
 	t.Helper()
 	for i, b := range batches {
-		if _, err := eng.AddBatch(b); err != nil {
+		if _, err := st.AddBatch(b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if st := engineStream(eng); st != nil {
-			requireOracleBytes(t, st)
-		}
+		requireOracleBytes(t, st)
 	}
 }
 
@@ -85,7 +75,7 @@ func feed(t *testing.T, eng streamEngine, batches [][]BatchVote) {
 // same decided-fact log (order, batch indices, bitwise probabilities) and
 // same bitwise trust per source. No epsilon — the sharded merge is defined
 // to be exact.
-func requireStreamsIdentical(t *testing.T, label string, got, want streamEngine) {
+func requireStreamsIdentical(t *testing.T, label string, got, want *Stream) {
 	t.Helper()
 	g, w := got.Decided(), want.Decided()
 	if len(g) != len(w) {
@@ -142,7 +132,7 @@ func TestShardedMatchesSequentialRandom(t *testing.T) {
 		d := randomDataset(seed, 6, 90)
 		for _, parts := range []int{1, 3, 7} {
 			batches := splitByFact(d, parts)
-			ref := NewStream()
+			ref := NewShardedStream(1)
 			feed(t, ref, batches)
 			for _, shards := range []int{1, 4, 7} {
 				ss := NewShardedStream(shards)
@@ -185,7 +175,7 @@ func TestShardedMatchesSequentialLargeWorld(t *testing.T) {
 	}
 	batches := splitByFact(w.Dataset, 8)
 
-	ref := NewStream()
+	ref := NewShardedStream(1)
 	var mid bytes.Buffer
 	for i, b := range batches {
 		if _, err := ref.AddBatch(b); err != nil {
@@ -221,7 +211,7 @@ func TestShardedMatchesSequentialLargeWorld(t *testing.T) {
 func TestShardedSingleGroupStaysSequential(t *testing.T) {
 	d := randomDataset(13, 5, 40)
 	batches := splitByFact(d, 2)
-	ref := NewStream()
+	ref := NewShardedStream(1)
 	feed(t, ref, batches)
 	ss := NewShardedStream(4) // default threshold: small batches stay sequential
 	feed(t, ss, batches)

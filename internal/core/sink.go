@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -89,12 +88,6 @@ type CheckpointSink struct {
 	compactions int64
 }
 
-// Checkpointer is anything that can serialize a checkpoint — a *Stream, a
-// *ShardedStream, or any future engine that writes the same envelope.
-type Checkpointer interface {
-	Checkpoint(w io.Writer) error
-}
-
 // RestoreReport describes how a Restore call found the checkpoint.
 type RestoreReport struct {
 	// Resumed is true when a valid checkpoint was loaded.
@@ -157,20 +150,23 @@ func (s *CheckpointSink) delays() (base, limit time.Duration) {
 	return base, limit
 }
 
-// Save durably replaces the checkpoint with c's current state and resets
+// Save durably replaces the checkpoint with st's current state and resets
 // the log, retrying transient failures with capped exponential backoff.
 // On return with nil error Path holds the full current checkpoint on
 // stable storage; on error the previous checkpoint (if any) is still
 // intact, or the new one is.
-func (s *CheckpointSink) Save(c Checkpointer) error {
+func (s *CheckpointSink) Save(st *Stream) error {
 	// Whatever happens next, the old handle's file is about to be
 	// replaced or is suspect.
 	s.closeLog()
+	data, err := st.encode()
+	if err != nil {
+		return err
+	}
 	base, limit := s.delays()
 	delay := base
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = s.saveOnce(c)
+		err = s.saveOnce(data)
 		if err == nil {
 			s.compactions++
 			return nil
@@ -186,8 +182,9 @@ func (s *CheckpointSink) Save(c Checkpointer) error {
 	return fmt.Errorf("core: checkpoint save failed after %d attempts: %w", s.retries()+1, err)
 }
 
-// saveOnce runs one pass of the crash-consistency protocol.
-func (s *CheckpointSink) saveOnce(c Checkpointer) error {
+// saveOnce runs one pass of the crash-consistency protocol, publishing
+// the encoded checkpoint data.
+func (s *CheckpointSink) saveOnce(data []byte) error {
 	fsys := s.fileSystem()
 	dir := filepath.Dir(s.Path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(s.Path)+".tmp-*")
@@ -195,8 +192,7 @@ func (s *CheckpointSink) saveOnce(c Checkpointer) error {
 		return fmt.Errorf("core: creating checkpoint temp file: %w", err)
 	}
 	name := tmp.Name()
-	size, err := fillAndClose(tmp, c)
-	if err != nil {
+	if err := fillAndClose(tmp, data); err != nil {
 		removeQuiet(fsys, name)
 		return fmt.Errorf("core: writing checkpoint temp file: %w", err)
 	}
@@ -213,7 +209,7 @@ func (s *CheckpointSink) saveOnce(c Checkpointer) error {
 	if err := fsys.Remove(s.logPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("core: resetting checkpoint log: %w", err)
 	}
-	s.baseSize, s.logSize = size, 0
+	s.baseSize, s.logSize = int64(len(data)), 0
 	return nil
 }
 
@@ -228,7 +224,7 @@ func (s *CheckpointSink) saveOnce(c Checkpointer) error {
 // a failed fsync the kernel may already have dropped the dirty pages — so
 // the retry is a full compaction through Save's backoff, and Commit's
 // error is Save's.
-func (s *CheckpointSink) Commit(st *ShardedStream) error {
+func (s *CheckpointSink) Commit(st *Stream) error {
 	if s.appendable && s.logSize < s.baseSize {
 		rec, batch, err := st.batchRecord()
 		if err == nil && batch == s.durable && s.appendRecord(rec) == nil {
@@ -288,31 +284,17 @@ func (s *CheckpointSink) closeLog() {
 	s.appendable = false
 }
 
-// fillAndClose writes the checkpoint into tmp, fsyncs, and closes it
-// exactly once, reporting the checkpoint's size or the first failure of
-// the chain.
-func fillAndClose(tmp fault.File, c Checkpointer) (int64, error) {
-	w := &countingWriter{w: tmp}
-	err := c.Checkpoint(w)
+// fillAndClose writes data into tmp, fsyncs, and closes it exactly once,
+// reporting the first failure of the chain.
+func fillAndClose(tmp fault.File, data []byte) error {
+	_, err := tmp.Write(data)
 	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	return w.n, err
-}
-
-// countingWriter counts the bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return err
 }
 
 // removeQuiet is best-effort temp cleanup on an already-failing path; the
@@ -338,7 +320,7 @@ func removeQuiet(fsys fault.FS, name string) {
 // temp files a crashed Save left behind (a live Save whose temp file it
 // deletes fails its rename and retries), so it may be pointed at a live
 // tenant's files.
-func (s *CheckpointSink) Restore(shards int) (*ShardedStream, RestoreReport, error) {
+func (s *CheckpointSink) Restore(shards int) (*Stream, RestoreReport, error) {
 	s.closeLog()
 	s.baseSize, s.logSize = 0, 0
 	fsys := s.fileSystem()
@@ -353,14 +335,14 @@ func (s *CheckpointSink) Restore(shards int) (*ShardedStream, RestoreReport, err
 	}
 	var derr error
 	if haveBase {
-		ss := NewShardedStream(shards)
-		torn, rerr := restoreInto(&ss.Stream, base, logData)
+		st := NewShardedStream(shards)
+		torn, rerr := restoreInto(st, base, logData)
 		if rerr == nil {
 			s.baseSize, s.logSize = int64(len(base)), int64(len(logData))
 			// Appending behind an ignored torn record would bury it
 			// mid-log, where it reads as corruption.
-			s.appendable, s.durable = !torn, ss.Batches()
-			return ss, RestoreReport{Resumed: true}, nil
+			s.appendable, s.durable = !torn, st.Batches()
+			return st, RestoreReport{Resumed: true}, nil
 		}
 		derr = rerr
 	} else if len(logData) > 0 {

@@ -14,7 +14,7 @@ import (
 
 // sinkWorld builds a deterministic three-batch world plus a reference
 // stream fed all of it, for the crash-consistency batteries.
-func sinkWorld(t *testing.T) (batches [][]BatchVote, ref *ShardedStream) {
+func sinkWorld(t *testing.T) (batches [][]BatchVote, ref *Stream) {
 	t.Helper()
 	d := randomDataset(31, 6, 120)
 	batches = splitByFact(d, 3)
@@ -337,7 +337,7 @@ func TestSinkQuarantineViaFaultFS(t *testing.T) {
 // logFixture commits the sink world's first batch as a base at path and
 // returns the framed log records of its second and third batches, plus a
 // stream holding all three.
-func logFixture(t *testing.T, path string) (records [][]byte, st *ShardedStream) {
+func logFixture(t *testing.T, path string) (records [][]byte, st *Stream) {
 	t.Helper()
 	batches, _ := sinkWorld(t)
 	st = NewShardedStream(2)

@@ -28,8 +28,10 @@ import (
 // facts selected at ti are evaluated with the trust of ti), and all
 // outcomes are absorbed afterwards in the deterministic group order. The
 // decision function of a group is therefore a pure function of (votes,
-// batch-entry trust), which is what lets ShardedStream corroborate
-// signature shards concurrently and still merge to a byte-identical state.
+// batch-entry trust), which is what lets a stream with several shards
+// corroborate signature shards concurrently and still merge to a
+// byte-identical state: the shard count never changes a byte of output
+// (see sharded.go).
 //
 // Concurrency contract: a Stream is safe for concurrent use. AddBatch,
 // Trust, Decided, Batches, and Checkpoint serialize on an internal mutex;
@@ -75,6 +77,10 @@ type Stream struct {
 	// panics is the fault-injection hook for the robustness battery; nil
 	// (the default) costs one pointer check per decided group.
 	panics *fault.Panics
+
+	// shards is how many signature shards a batch's groups fan out
+	// across; 1 decides every batch sequentially.
+	shards int
 }
 
 // batchDelta is what one batch changed beyond the facts it decided: the
@@ -139,10 +145,18 @@ type BatchVote struct {
 	Vote   truth.Vote
 }
 
-// NewStream returns an empty stream using the scale profile.
-func NewStream() *Stream {
-	return &Stream{Config: *NewScale(), symtab: truth.NewInterner()}
+// NewShardedStream returns an empty stream using the scale profile that
+// decides each batch's groups across the given number of shards. Shard
+// counts below 1 are clamped to 1 (a sequential stream).
+func NewShardedStream(shards int) *Stream {
+	if shards < 1 {
+		shards = 1
+	}
+	return &Stream{Config: *NewScale(), symtab: truth.NewInterner(), shards: shards}
 }
+
+// Shards returns the configured shard count.
+func (st *Stream) Shards() int { return st.shards }
 
 // SetTrustDecay enables exponential trust decay with per-batch factor
 // lambda: before each batch's outcomes are absorbed, every source's
@@ -157,21 +171,27 @@ func NewStream() *Stream {
 // lambda must lie in [0, 1]: values in (0, 1) enable decay, while 0 and 1
 // both mean "no decay" (1 is the identity scale; 0 is the conventional
 // off switch) and leave the stream bit-identical to the pre-decay engine.
-// The factor is part of the stream's identity — it must be configured
-// before the first batch and is recorded in checkpoints, so a restored
-// stream continues with the decay it was built with.
+// The factor is part of the stream's identity: it is fixed by the first
+// batch and recorded in checkpoints. Before the first batch SetTrustDecay
+// sets it; after that — on a stream restored from a checkpoint, say — it
+// accepts only the factor already in force and refuses any other, since
+// a silent change would fork the stream's history.
 func (st *Stream) SetTrustDecay(lambda float64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
 		return fmt.Errorf("core: trust decay %v out of [0, 1]", lambda)
 	}
-	if st.initDone {
-		return fmt.Errorf("core: trust decay must be configured before the first batch")
-	}
 	//lint:ignore floatexact 1 is the exact identity-scale sentinel; values near 1 are legitimate slow decay factors and must not be swallowed
 	if lambda == 1 {
 		lambda = 0 // identity scale: normalize to the canonical off value
+	}
+	if st.initDone {
+		//lint:ignore floatexact checkpoints round-trip the factor bit-exactly; any difference is a real configuration conflict
+		if lambda != st.decay {
+			return fmt.Errorf("core: stream carries trust decay %v since its first batch; %v conflicts", st.decay, lambda)
+		}
+		return nil
 	}
 	st.decay = lambda
 	return nil
@@ -267,21 +287,21 @@ func (st *Stream) AddBatch(votes []BatchVote) ([]StreamFact, error) {
 func (st *Stream) AddBatchContext(ctx context.Context, votes []BatchVote) ([]StreamFact, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.addBatchLocked(ctx, votes, 1)
+	return st.addBatchLocked(ctx, votes)
 }
 
-// addBatchLocked is the shared batch pipeline of Stream and ShardedStream:
-// validate, intern, group, decide every group under the frozen batch-entry
-// trust (fanning out across signature shards when shards > 1), then merge
-// the outcomes in the global sorted group order. The merge order — and with
-// it every floating-point accumulation — is independent of the shard count
-// and of goroutine scheduling, which is what keeps ShardedStream output
-// byte-identical to the sequential stream.
+// addBatchLocked is the batch pipeline: validate, intern, group, decide
+// every group under the frozen batch-entry trust (fanning out across
+// signature shards when the stream has more than one), then merge the
+// outcomes in the global sorted group order. The merge order — and with it
+// every floating-point accumulation — is independent of the shard count
+// and of goroutine scheduling, which is what keeps the output of any shard
+// count byte-identical to the sequential stream's.
 //
 // Failures after validation (cancellation, an uncontainable group panic)
 // roll back the source interning they may have caused, restoring the
 // stream bit-for-bit to its pre-batch state.
-func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards int) ([]StreamFact, error) {
+func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]StreamFact, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: batch rejected: %w", err)
 	}
@@ -333,7 +353,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards 
 
 	groups := buildGroups(d)
 	trust := st.state.vector()
-	raw, final, err := st.decideGroups(ctx, groups, trust, shards)
+	raw, final, err := st.decideGroups(ctx, groups, trust)
 	if err == nil {
 		// Point of no return: beyond this check the outcomes are absorbed
 		// unconditionally, landing the stream on the next batch boundary.

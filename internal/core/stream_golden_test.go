@@ -34,13 +34,13 @@ var streamGoldenConfigs = []struct {
 // renderStreamState serializes a stream's complete observable state with
 // exact float64 bit patterns (hex floats): the decided-fact log in
 // evaluation order and the trust per source in name order.
-func renderStreamState(eng streamEngine) string {
+func renderStreamState(st *Stream) string {
 	var b strings.Builder
-	for _, sf := range eng.Decided() {
+	for _, sf := range st.Decided() {
 		fmt.Fprintf(&b, "fact %s batch=%d p=%s pred=%s\n",
 			sf.Name, sf.Batch, strconv.FormatFloat(sf.Probability, 'x', -1, 64), sf.Prediction)
 	}
-	trust := eng.Trust()
+	trust := st.Trust()
 	names := make([]string, 0, len(trust))
 	for name := range trust {
 		names = append(names, name)
@@ -60,7 +60,7 @@ func renderStreamState(eng streamEngine) string {
 func TestStreamGolden(t *testing.T) {
 	for _, cfg := range streamGoldenConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			st := NewStream()
+			st := NewShardedStream(1)
 			d := randomDataset(cfg.seed, cfg.sources, cfg.facts)
 			feed(t, st, splitByFact(d, cfg.parts))
 			got := renderStreamState(st)

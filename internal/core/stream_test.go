@@ -11,7 +11,7 @@ import (
 )
 
 func TestStreamBasics(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	if st.Batches() != 0 {
 		t.Fatal("fresh stream should have 0 batches")
 	}
@@ -44,7 +44,7 @@ func TestStreamBasics(t *testing.T) {
 }
 
 func TestStreamRejectsBadInput(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	if _, err := st.AddBatch(nil); err == nil {
 		t.Error("empty batch must be rejected")
 	}
@@ -56,7 +56,7 @@ func TestStreamRejectsBadInput(t *testing.T) {
 // TestStreamCarriesTrustAcrossBatches is the point of the API: a source
 // exposed in batch 1 is distrusted in batch 2.
 func TestStreamCarriesTrustAcrossBatches(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	// Batch 1: the flagger denies three facts the laggard affirms, and
 	// the flagger's own facts are corroborated by a third source.
 	var batch1 []BatchVote
@@ -112,7 +112,7 @@ func TestStreamCarriesTrustAcrossBatches(t *testing.T) {
 }
 
 func TestStreamNewSourcesGetDefaultTrust(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	if _, err := st.AddBatch([]BatchVote{
 		{Fact: "a", Source: "old", Vote: truth.Affirm},
 	}); err != nil {
@@ -133,7 +133,7 @@ func TestStreamNewSourcesGetDefaultTrust(t *testing.T) {
 }
 
 func TestStreamBackedProtectionInBatch(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	// Crash a laggard in batch 1.
 	var batch []BatchVote
 	for _, f := range []string{"x1", "x2", "x3", "x4"} {
@@ -163,7 +163,7 @@ func TestStreamBackedProtectionInBatch(t *testing.T) {
 
 func TestStreamDeterministic(t *testing.T) {
 	mk := func() []StreamFact {
-		st := NewStream()
+		st := NewShardedStream(1)
 		st.AddBatch([]BatchVote{
 			{Fact: "a", Source: "s1", Vote: truth.Affirm},
 			{Fact: "b", Source: "s2", Vote: truth.Deny},
@@ -192,7 +192,7 @@ func TestStreamDeterministic(t *testing.T) {
 // vote, and a rejected batch is fully atomic — nothing is interned, no
 // trust moves, no facts are decided.
 func TestStreamAddBatchErrorPaths(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	if _, err := st.AddBatch([]BatchVote{
 		{Fact: "base", Source: "s1", Vote: truth.Affirm},
 	}); err != nil {
@@ -259,7 +259,7 @@ func TestStreamAddBatchErrorPaths(t *testing.T) {
 // concurrency contract. Batches use disjoint fact names, so every fact must
 // be decided exactly once regardless of interleaving.
 func TestStreamConcurrentUse(t *testing.T) {
-	st := NewStream()
+	st := NewShardedStream(1)
 	const writers, batchesPer = 4, 8
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

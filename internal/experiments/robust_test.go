@@ -8,8 +8,9 @@ import (
 
 // The robustness smoke test: deterministic accuracy floors on the quick
 // grid, so a PR that degrades behavior under attack fails loudly instead
-// of only shifting numbers in the next BENCH_N.json. Floors sit below the
-// current values (see BENCH_3.json) with margin for benign drift; the
+// of only shifting numbers in the next `experiments -robustness-json`
+// grid. Floors sit below the current values (see README's table and the
+// grid kept in BENCH_3.json) with margin for benign drift; the
 // grid is seeded, so a tripped floor is a real behavior change, not noise.
 
 func quickGrid(t *testing.T) *RobustnessReport {

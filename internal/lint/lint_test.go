@@ -96,9 +96,9 @@ func TestInterproceduralMissedByIntraprocedural(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		dir     string
-		intra   string // must report nothing
-		inter   string // must report something
+		dir   string
+		intra string // must report nothing
+		inter string // must report something
 	}{
 		{dir: "detflow", intra: "mapdet", inter: "detflow"},
 		{dir: "sharedmutate", intra: "gonosync", inter: "sharedmutate"},

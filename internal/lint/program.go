@@ -17,7 +17,7 @@ import (
 // goroutine mutating a captured struct via a method. Program builds that
 // view over the already-loaded packages: one node per function declaration
 // or function literal, call edges resolved through go/types (including
-// function values passed as callbacks, the engine.Iterate / ShardedStream /
+// function values passed as callbacks, the engine.Iterate / shard worker /
 // pipeline shape), and per-function summaries computed to a fixpoint.
 //
 // Everything is deliberately conservative and stdlib-only. Unresolvable
@@ -47,7 +47,7 @@ type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
 
-	nodes  map[string]*funcNode   // key → node
+	nodes  map[string]*funcNode // key → node
 	byPkg  map[*Package][]*funcNode
 	byBody map[ast.Node]*funcNode // FuncDecl / FuncLit → node
 }
@@ -145,7 +145,7 @@ type summary struct {
 // bitset is a small index set (parameter/result positions).
 type bitset uint64
 
-func (b bitset) has(i int) bool  { return i >= 0 && i < 64 && b&(1<<uint(i)) != 0 }
+func (b bitset) has(i int) bool { return i >= 0 && i < 64 && b&(1<<uint(i)) != 0 }
 func (b *bitset) set(i int) bool {
 	if i < 0 || i >= 64 || b.has(i) {
 		return false
@@ -414,7 +414,7 @@ func isContextType(t types.Type) bool {
 
 // scanCalls records every call site directly inside a node's body with its
 // resolution and argument bindings. Callback arguments — function values
-// handed to another call, the engine.Iterate / ShardedStream worker /
+// handed to another call, the engine.Iterate / stream shard worker /
 // pipeline shape — get their own synthetic edge so the callback's behavior
 // propagates to the caller that will (indirectly) run it.
 func (p *Program) scanCalls(n *funcNode) []callSite {

@@ -5,8 +5,8 @@
 // table runner, the robustness sweep, the daemon's query path). This
 // package factors that shape into a small set of composable operators in
 // the streaming-relational-algebra style: σ (Filter), π (Map), ⋈
-// (JoinGolden), γ (GroupBySignature, Aggregate), plus windows and the
-// terminal collectors.
+// (JoinGolden), γ (Aggregate), plus sampling, windows and the terminal
+// collectors.
 //
 // # Operator model
 //
@@ -14,7 +14,7 @@
 // to a callback until the stream is exhausted or the callback returns
 // false (early termination). Operators wrap a Seq in another Seq without
 // running it; nothing is computed until a terminal (Collect, Aggregate,
-// Count, TopK, Page, First) drives the chain. The model is the iter.Seq
+// Count, TopK, Page) drives the chain. The model is the iter.Seq
 // shape of the Go standard library, kept as an explicit named type so the
 // operators compose by plain function application.
 //
@@ -23,14 +23,13 @@
 //   - Building a chain performs no iteration and allocates only the
 //     closures (O(operators), independent of stream length).
 //   - A terminal makes exactly one pass over the source; early termination
-//     propagates upstream, so TopK/First/Take over a 200k-element stream
-//     stop pulling as soon as they are satisfied.
+//     propagates upstream, so a consumer whose yield returns false stops
+//     the source too.
 //   - Streams run on the caller's goroutine: no channels, no spawned
 //     goroutines, no locks. Concurrency stays with the caller (the
 //     experiments runners fan methods out exactly as before).
-//   - Blocking operators are explicit: GroupBySignature and TopK hold
-//     O(groups) / O(k) state; windows hold one window. Nothing else
-//     materializes.
+//   - Blocking operators are explicit: TopK holds O(k) state; windows
+//     hold one window. Nothing else materializes.
 //   - Window slices are reused between yields; callers that retain a
 //     window past its yield must copy it.
 //
@@ -43,8 +42,6 @@
 //   - TopK is defined as a stable sort by the ranking function followed by
 //     truncation: ties keep arrival order. The heap implementation is
 //     locked to that reference by the metamorphic battery.
-//   - GroupBySignature emits groups in first-appearance order of their
-//     signature (the order core's group builder uses), never map order.
 package pipeline
 
 // Seq is a lazy stream of T: calling it pushes elements into yield until
@@ -78,40 +75,6 @@ func Filter[T any](s Seq[T], keep func(T) bool) Seq[T] {
 func Map[T, U any](s Seq[T], f func(T) U) Seq[U] {
 	return func(yield func(U) bool) {
 		s(func(v T) bool { return yield(f(v)) })
-	}
-}
-
-// Take passes through the first n elements, then terminates the source.
-func Take[T any](s Seq[T], n int) Seq[T] {
-	return func(yield func(T) bool) {
-		if n <= 0 {
-			return
-		}
-		taken := 0
-		s(func(v T) bool {
-			if !yield(v) {
-				return false
-			}
-			taken++
-			return taken < n
-		})
-	}
-}
-
-// Drop skips the first n elements.
-func Drop[T any](s Seq[T], n int) Seq[T] {
-	if n <= 0 {
-		return s
-	}
-	return func(yield func(T) bool) {
-		skipped := 0
-		s(func(v T) bool {
-			if skipped < n {
-				skipped++
-				return true
-			}
-			return yield(v)
-		})
 	}
 }
 
@@ -167,18 +130,6 @@ func Aggregate[T, A any](s Seq[T], init A, fold func(A, T) A) A {
 	return acc
 }
 
-// First returns the first element and true, or the zero value and false
-// for an empty stream. It pulls at most one element from the source.
-func First[T any](s Seq[T]) (T, bool) {
-	var got T
-	ok := false
-	s(func(v T) bool {
-		got, ok = v, true
-		return false
-	})
-	return got, ok
-}
-
 // Page is the pagination terminal: one pass that counts every element and
 // materializes only the window [offset, offset+limit). A negative limit
 // means "to the end". Memory is O(limit) (O(matched-offset) when
@@ -195,33 +146,6 @@ func Page[T any](s Seq[T], offset, limit int) (total int, page []T) {
 		return true
 	})
 	return total, page
-}
-
-// CountWindows groups the stream into consecutive windows of size n (the
-// last may be shorter). The yielded slice is reused between windows:
-// consumers must finish with (or copy) a window before the next yield.
-func CountWindows[T any](s Seq[T], n int) Seq[[]T] {
-	return func(yield func([]T) bool) {
-		if n < 1 {
-			return
-		}
-		buf := make([]T, 0, n)
-		done := false
-		s(func(v T) bool {
-			buf = append(buf, v)
-			if len(buf) == n {
-				if !yield(buf) {
-					done = true
-					return false
-				}
-				buf = buf[:0]
-			}
-			return true
-		})
-		if !done && len(buf) > 0 {
-			yield(buf)
-		}
-	}
 }
 
 // KeyWindows groups the stream into batch-boundary windows: a new window

@@ -118,44 +118,3 @@ func JoinGolden[T any](d *truth.Dataset, s Seq[T], fact func(T) int) Seq[Joined[
 		})
 	}
 }
-
-// SignatureGroup is one γ output group: the facts sharing one vote
-// signature (§5.1's fact groups).
-type SignatureGroup struct {
-	Signature string
-	Facts     []int
-}
-
-// GroupBySignature is γ by vote signature: it groups the dataset's voted
-// facts by their canonical signature and streams the groups in
-// first-appearance order of the signature — the deterministic order the
-// core group builder uses, never map order. Grouping is a blocking
-// operator: it holds O(groups + facts) state before the first yield, but
-// signature construction reuses one buffer (AppendSignature), so it
-// allocates no per-fact intermediate strings for repeated signatures.
-func GroupBySignature(d *truth.Dataset) Seq[SignatureGroup] {
-	return func(yield func(SignatureGroup) bool) {
-		index := make(map[string]int)
-		var groups []SignatureGroup
-		var buf []byte
-		for f := 0; f < d.NumFacts(); f++ {
-			buf = d.AppendSignature(buf[:0], f)
-			if len(buf) == 0 {
-				continue // unvoted facts form no group
-			}
-			i, ok := index[string(buf)]
-			if !ok {
-				i = len(groups)
-				sig := string(buf)
-				index[sig] = i
-				groups = append(groups, SignatureGroup{Signature: sig})
-			}
-			groups[i].Facts = append(groups[i].Facts, f)
-		}
-		for _, g := range groups {
-			if !yield(g) {
-				return
-			}
-		}
-	}
-}

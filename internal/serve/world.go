@@ -37,7 +37,7 @@ var (
 type WorldConfig struct {
 	// Name is the tenant identifier (the {tenant} path segment).
 	Name string
-	// Shards is the ShardedStream shard count; <1 means 1.
+	// Shards is the stream's shard count; <1 means 1.
 	Shards int
 	// QueueDepth bounds the ingest job queue — the tenant's in-flight cap
 	// is QueueDepth queued plus one batch being applied. 0 means 64.
@@ -90,7 +90,7 @@ type jobResult struct {
 	err error
 }
 
-// World is one tenant: a ShardedStream fed through a bounded
+// World is one tenant: a core.Stream fed through a bounded
 // producer/consumer queue, committed after every batch through a
 // crash-safe sink, queried through a published immutable snapshot.
 //
@@ -116,7 +116,7 @@ type World struct {
 	name string
 	// stream is mutated only by the consumer goroutine after OpenWorld
 	// returns; readers go through snap.
-	stream *core.ShardedStream
+	stream *core.Stream
 	sink   *core.CheckpointSink
 	clock  func() time.Time
 	gate   func()
@@ -173,7 +173,7 @@ func OpenWorld(cfg WorldConfig) (*World, core.RestoreReport, error) {
 	}
 
 	var (
-		st     *core.ShardedStream
+		st     *core.Stream
 		sink   *core.CheckpointSink
 		report core.RestoreReport
 	)
@@ -187,7 +187,9 @@ func OpenWorld(cfg WorldConfig) (*World, core.RestoreReport, error) {
 	} else {
 		st = core.NewShardedStream(shards)
 	}
-	if err := configureDecay(st, cfg.TrustDecay); err != nil {
+	// A fresh stream takes the configured decay factor; a resumed one must
+	// agree with the factor its checkpoint recorded.
+	if err := st.SetTrustDecay(cfg.TrustDecay); err != nil {
 		return nil, report, fmt.Errorf("serve: world %q: %w", cfg.Name, err)
 	}
 
@@ -217,27 +219,6 @@ func OpenWorld(cfg WorldConfig) (*World, core.RestoreReport, error) {
 func validDecay(lambda float64) error {
 	if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
 		return fmt.Errorf("trust decay %v out of [0, 1]", lambda)
-	}
-	return nil
-}
-
-// configureDecay applies the configured decay factor to a fresh stream, or
-// checks it against a resumed stream's recorded factor — the factor is
-// part of the stream's identity, so a silent mismatch would fork history.
-func configureDecay(st *core.ShardedStream, lambda float64) error {
-	//lint:ignore floatexact 1 is the exact identity-scale sentinel normalized by SetTrustDecay; values near 1 are legitimate slow decay factors
-	if lambda == 1 {
-		lambda = 0
-	}
-	if st.Batches() == 0 {
-		if lambda == 0 {
-			return nil
-		}
-		return st.SetTrustDecay(lambda)
-	}
-	//lint:ignore floatexact the checkpoint round-trips the configured factor bit-exactly; any difference is a real configuration conflict
-	if st.TrustDecay() != lambda {
-		return fmt.Errorf("checkpoint carries trust decay %v; configured %v conflicts", st.TrustDecay(), lambda)
 	}
 	return nil
 }

@@ -332,7 +332,7 @@ func TestReadOnlyDegradation(t *testing.T) {
 	if err := w.Drain(); err != nil {
 		t.Fatalf("drain of read-only world: %v", err)
 	}
-	st, err := core.RestoreStream(bytes.NewReader(mustRead(t, path)))
+	st, err := core.RestoreShardedStream(bytes.NewReader(mustRead(t, path)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
