@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt test test-invariants vet lint lint-json race check bench-smoke fuzz-smoke robustness-smoke daemon-smoke perfbench-test golden
+.PHONY: all build fmt test test-invariants vet lint lint-json race check bench-smoke fuzz-smoke robustness-smoke daemon-smoke determinism-smoke examples-smoke perfbench-test golden loc
 
 all: build
 
@@ -121,6 +121,27 @@ robustness-smoke:
 # (see scripts/daemon_smoke.sh).
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
+
+# determinism-smoke checks the stream's byte-identity contract at the
+# process boundary: cmd/corroborate streams the restaurant crawl and the
+# synthetic world under GOMAXPROCS {1,2,4} x -shards {1,4,7}, and every
+# run's stdout and ~4 MB checkpoint must match the sequential run's byte
+# for byte (see scripts/determinism_smoke.sh).
+determinism-smoke:
+	sh scripts/determinism_smoke.sh
+
+# examples-smoke builds and runs every program under examples/ and fails
+# when one exits non-zero; the whole set runs in a few seconds.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "examples-smoke: FAIL: $$d exited non-zero" >&2; exit 1; }; \
+	done
+
+# loc prints the non-test Go line count that the project tracks: tracked
+# *.go files minus tests, the perfbench module and testdata.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/' -e 'testdata/' | xargs cat | wc -l
 
 # perfbench-test vets and tests the benchmark program. perfbench is its own
 # module (replace corroborate => ../), so the root ./... never builds it;

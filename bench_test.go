@@ -8,6 +8,7 @@
 package corroborate_test
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -78,7 +79,7 @@ func BenchmarkTable6(b *testing.B) {
 		b.Run(m.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(d); err != nil {
+				if _, err := m.RunWith(context.Background(), d, corroborate.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -99,7 +100,7 @@ func BenchmarkAblationSelector(b *testing.B) {
 		b.Run(e.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(d); err != nil {
+				if _, err := e.RunWith(context.Background(), d, corroborate.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -123,7 +124,7 @@ func BenchmarkAblationBalanced(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.e.Run(d); err != nil {
+				if _, err := v.e.RunWith(context.Background(), d, corroborate.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -182,7 +183,7 @@ func BenchmarkMotivatingAllMethods(b *testing.B) {
 		b.Run(m.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(d); err != nil {
+				if _, err := m.RunWith(context.Background(), d, corroborate.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -59,8 +59,11 @@ func run(args []string) error {
 	}
 
 	// Pointer options distinguish an explicitly passed zero from an unset
-	// flag, so only flags the user actually set override the defaults.
+	// flag, so only flags the user actually set override the defaults. The
+	// decay factor is a stream setting, not a run option, so it travels
+	// separately.
 	var opts corroborate.RunOptions
+	var streamDecay *float64
 	flags.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "maxiter":
@@ -70,7 +73,7 @@ func run(args []string) error {
 		case "seed":
 			opts.Seed = corroborate.OptSeed(*seed)
 		case "decay":
-			opts.TrustDecay = corroborate.OptFloat(*decay)
+			streamDecay = decay
 		}
 	})
 	// Validate the decay factor here, at flag-parse time: letting an
@@ -78,7 +81,7 @@ func run(args []string) error {
 	// (or, on a resumed checkpoint, with a misleading "conflict" error)
 	// instead of before any file was touched. The comparison is written to
 	// also reject NaN.
-	if opts.TrustDecay != nil && !(*decay >= 0 && *decay <= 1) {
+	if streamDecay != nil && !(*decay >= 0 && *decay <= 1) {
 		return fmt.Errorf("-decay %v out of range: the per-batch trust-decay factor must be in [0,1] (0 or 1 disables decay)", *decay)
 	}
 
@@ -96,7 +99,7 @@ func run(args []string) error {
 		return nil
 	}
 	if *stream != "" {
-		return runStream(strings.Split(*stream, ","), *shards, *checkpoint, opts.TrustDecay)
+		return runStream(strings.Split(*stream, ","), *shards, *checkpoint, streamDecay)
 	}
 	if *in == "" {
 		return fmt.Errorf("missing -in (use -list to see methods)")
@@ -141,7 +144,7 @@ func run(args []string) error {
 			fmt.Println()
 		}
 	} else {
-		result, err = corroborate.RunWith(ctx, m, d, opts)
+		result, err = m.RunWith(ctx, d, opts)
 		if err != nil {
 			return err
 		}
@@ -173,7 +176,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		otherResult, err := corroborate.RunWith(ctx, other, d, opts)
+		otherResult, err := other.RunWith(ctx, d, opts)
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,7 @@
 //	b.VoteNamed("old mill tavern", "yellowpages", corroborate.Affirm)
 //	d := b.Build()
 //
-//	result, err := corroborate.IncEstScale().Run(d)
+//	result, err := corroborate.IncEstScale().RunWith(context.Background(), d, corroborate.RunOptions{})
 //	if err != nil { ... }
 //	for f := 0; f < d.NumFacts(); f++ {
 //	    fmt.Println(d.FactName(f), result.Predictions[f], result.FactProb[f])
@@ -36,7 +36,6 @@
 package corroborate
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -63,8 +62,9 @@ type (
 	// Result is a corroboration outcome: per-fact probabilities and
 	// predictions plus per-source trust.
 	Result = truth.Result
-	// Method is any corroboration algorithm.
-	Method = truth.Method
+	// Method is any corroboration algorithm; RunWith is its one entry
+	// point.
+	Method = engine.Method
 	// SourceVote is one (source, vote) entry of a fact's posting list.
 	SourceVote = truth.SourceVote
 	// Stats summarizes a dataset (coverage, overlap, accuracy).
@@ -188,8 +188,8 @@ func MLNaiveBayes() Method { return ml.MLNaiveBayes{} }
 // Shared engine runtime, re-exported from internal/engine.
 type (
 	// RunOptions are the caller-supplied run options every method accepts
-	// through RunWith: context, iteration cap, tolerance, seed and a
-	// per-round Observer. Pointer fields distinguish "unset" (nil — use the
+	// through RunWith: iteration cap, tolerance, seed and a per-round
+	// Observer. Pointer fields distinguish "unset" (nil — use the
 	// method's paper default) from an explicit zero.
 	RunOptions = engine.Options
 	// Round is the per-round observation delivered to a RoundObserver.
@@ -210,14 +210,6 @@ var (
 	// OptSeed builds a *int64 for RunOptions.Seed.
 	OptSeed = engine.Int64
 )
-
-// RunWith executes any method under the shared runtime: cancellation is
-// checked at every round boundary, and opts overrides the method's default
-// iteration cap, tolerance and seed and attaches an Observer. With empty
-// options it is byte-identical to m.Run(d).
-func RunWith(ctx context.Context, m Method, d *Dataset, opts RunOptions) (*Result, error) {
-	return engine.Run(ctx, m, d, opts)
-}
 
 // registry is the method catalogue: registration order is presentation
 // order (the paper's baselines first, comparators next, the incremental

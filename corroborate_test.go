@@ -1,6 +1,7 @@
 package corroborate_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -17,7 +18,7 @@ func TestQuickstartFlow(t *testing.T) {
 	b.VoteNamed("mill", "yellowpages", corroborate.Affirm)
 	d := b.Build()
 
-	r, err := corroborate.IncEstScale().Run(d)
+	r, err := corroborate.IncEstScale().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestMethodsRoster(t *testing.T) {
 			t.Errorf("duplicate method name %q", m.Name())
 		}
 		names[m.Name()] = true
-		r, err := m.Run(d)
+		r, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -69,7 +70,7 @@ func TestNewMethod(t *testing.T) {
 func TestPublicMotivatingReproduction(t *testing.T) {
 	// The package-level integration of the paper's headline numbers.
 	d := corroborate.MotivatingExample()
-	r, err := corroborate.IncEstHeu().Run(d)
+	r, err := corroborate.IncEstHeu().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestPublicMotivatingReproduction(t *testing.T) {
 		t.Errorf("IncEstHeu P/R/A = %v/%v/%v, want Table 2's 0.78/1/0.83",
 			rep.Precision, rep.Recall, rep.Accuracy)
 	}
-	two, _ := corroborate.TwoEstimate().Run(d)
+	two, _ := corroborate.TwoEstimate().RunWith(context.Background(), d, corroborate.RunOptions{})
 	twoRep := corroborate.Evaluate(d, two)
 	if math.Abs(twoRep.Accuracy-2.0/3) > 1e-9 {
 		t.Errorf("TwoEstimate accuracy = %v, want 0.67", twoRep.Accuracy)
@@ -102,7 +103,7 @@ func TestCSVRoundTripPublic(t *testing.T) {
 
 func TestDetailedRunExposed(t *testing.T) {
 	d := corroborate.MotivatingExample()
-	run, err := corroborate.IncEstHeu().RunDetailed(d)
+	run, err := corroborate.IncEstHeu().RunDetailedWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestExplicitZeroMaxIter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := corroborate.RunWith(context.Background(), m, d,
+		r, err := m.RunWith(context.Background(), d,
 			corroborate.RunOptions{MaxIter: corroborate.OptInt(0)})
 		if err != nil {
 			t.Errorf("%s with MaxIter 0: %v", name, err)
@@ -53,11 +53,11 @@ func TestExplicitZeroTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := corroborate.RunWith(context.Background(), m, d, corroborate.RunOptions{})
+		base, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		strict, err := corroborate.RunWith(context.Background(), m, d,
+		strict, err := m.RunWith(context.Background(), d,
 			corroborate.RunOptions{Tolerance: corroborate.OptFloat(0)})
 		if err != nil {
 			t.Errorf("%s with Tolerance 0: %v", name, err)
@@ -79,7 +79,7 @@ func TestObserverRoundCount(t *testing.T) {
 	for _, e := range corroborate.MethodInfos() {
 		rounds := 0
 		var last corroborate.Round
-		r, err := corroborate.RunWith(context.Background(), e.New(), d,
+		r, err := e.New().RunWith(context.Background(), d,
 			corroborate.RunOptions{Observer: func(rd corroborate.Round) {
 				rounds++
 				last = rd
@@ -115,7 +115,7 @@ func TestCancellationPerMethod(t *testing.T) {
 	d := corroborate.MotivatingExample()
 	for _, e := range iterativeInfos() {
 		ctx, cancel := context.WithCancel(context.Background())
-		r, err := corroborate.RunWith(ctx, e.New(), d,
+		r, err := e.New().RunWith(ctx, d,
 			corroborate.RunOptions{Observer: func(corroborate.Round) { cancel() }})
 		cancel()
 		if err == nil {
@@ -138,7 +138,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range corroborate.MethodInfos() {
-		r, err := corroborate.RunWith(ctx, e.New(), d, corroborate.RunOptions{})
+		r, err := e.New().RunWith(ctx, d, corroborate.RunOptions{})
 		if err == nil || !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: pre-cancelled context produced (%v, %v), want a context.Canceled error", e.Name, r, err)
 		}
@@ -158,7 +158,7 @@ func TestSeedOptionReproduces(t *testing.T) {
 			continue
 		}
 		run := func(seed int64) *corroborate.Result {
-			r, err := corroborate.RunWith(context.Background(), e.New(), d,
+			r, err := e.New().RunWith(context.Background(), d,
 				corroborate.RunOptions{Seed: corroborate.OptSeed(seed)})
 			if err != nil {
 				t.Fatalf("%s with seed %d: %v", e.Name, seed, err)

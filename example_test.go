@@ -1,6 +1,7 @@
 package corroborate_test
 
 import (
+	"context"
 	"fmt"
 
 	"corroborate"
@@ -11,7 +12,7 @@ import (
 // cannot reach.
 func ExampleIncEstHeu() {
 	d := corroborate.MotivatingExample()
-	result, err := corroborate.IncEstHeu().Run(d)
+	result, err := corroborate.IncEstHeu().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -46,7 +47,7 @@ func ExampleBuilder() {
 // vector.
 func ExampleTwoEstimate() {
 	d := corroborate.MotivatingExample()
-	result, err := corroborate.TwoEstimate().Run(d)
+	result, err := corroborate.TwoEstimate().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -85,7 +86,7 @@ func ExampleStream() {
 // first?
 func ExamplePlanAudit() {
 	d := corroborate.MotivatingExample()
-	result, err := corroborate.IncEstScale().Run(d)
+	result, err := corroborate.IncEstScale().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		panic(err)
 	}

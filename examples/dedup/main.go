@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 		}
 	}
 	d := builder.Build()
-	result, err := corroborate.IncEstScale().Run(d)
+	result, err := corroborate.IncEstScale().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 		func() corroborate.Method { return corroborate.IncEstScale() },
 		corroborate.ByNamePrefix('/'),
 	)
-	run, err := catEst.RunDetailed(d)
+	run, err := catEst.RunDetailedWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func main() {
 	fmt.Printf("  flat       %.2f  (one number hides the split)\n\n", run.Trust[cityguide])
 
 	// 2. Source dependence: who copies whom?
-	flat, err := corroborate.IncEstScale().Run(d)
+	flat, err := corroborate.IncEstScale().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 	}
 
 	// 3. Statistics: is the incremental estimator's edge significant here?
-	voting, _ := corroborate.Voting().Run(d)
+	voting, _ := corroborate.Voting().RunWith(context.Background(), d, corroborate.RunOptions{})
 	p := corroborate.SignificanceTest(d, flat, voting, 10000, 1)
 	iv, _ := corroborate.BootstrapAccuracy(d, flat, 2000, 0.95, 1)
 	repA := corroborate.Evaluate(d, flat)

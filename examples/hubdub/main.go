@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	}
 	fmt.Println("method          errors (FP+FN over all answer-facts)   questions wrong (argmax)")
 	for _, m := range methods {
-		r, err := m.Run(d)
+		r, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

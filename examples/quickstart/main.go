@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 		corroborate.TwoEstimate(),
 		corroborate.IncEstScale(),
 	} {
-		result, err := method.Run(d)
+		result, err := method.RunWith(context.Background(), d, corroborate.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 		corroborate.IncEstPS(),
 		corroborate.IncEstScale(),
 	} {
-		r, err := m.Run(d)
+		r, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func main() {
 
 	// The multi-value trust score in action: how each source's trust moves
 	// as batches of listings are corroborated.
-	run, err := corroborate.IncEstScale().RunDetailed(d)
+	run, err := corroborate.IncEstScale().RunDetailedWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,7 @@ func accuracyOf(m corroborate.Method, cfg corroborate.SynthConfig) float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := m.Run(w.Dataset)
+	r, err := m.RunWith(context.Background(), w.Dataset, corroborate.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

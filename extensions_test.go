@@ -2,6 +2,7 @@ package corroborate_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -94,7 +95,7 @@ func TestCheckpointPublicAPI(t *testing.T) {
 func TestDependVotingPublicAPI(t *testing.T) {
 	d := corroborate.MotivatingExample()
 	m := corroborate.DependVoting()
-	r, err := m.Run(d)
+	r, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestJSONPublicAPI(t *testing.T) {
 	if got.NumVotes() != d.NumVotes() {
 		t.Error("JSON round trip changed the dataset")
 	}
-	r, _ := corroborate.Voting().Run(d)
+	r, _ := corroborate.Voting().RunWith(context.Background(), d, corroborate.RunOptions{})
 	var buf bytes.Buffer
 	if err := corroborate.WriteResultJSON(&buf, d, r); err != nil {
 		t.Fatal(err)
@@ -135,8 +136,8 @@ func TestJSONPublicAPI(t *testing.T) {
 
 func TestBootstrapAndSignificancePublicAPI(t *testing.T) {
 	d := corroborate.MotivatingExample()
-	a, _ := corroborate.IncEstHeu().Run(d)
-	b, _ := corroborate.TwoEstimate().Run(d)
+	a, _ := corroborate.IncEstHeu().RunWith(context.Background(), d, corroborate.RunOptions{})
+	b, _ := corroborate.TwoEstimate().RunWith(context.Background(), d, corroborate.RunOptions{})
 	iv, err := corroborate.BootstrapAccuracy(d, a, 200, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)

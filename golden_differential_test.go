@@ -1,6 +1,7 @@
 package corroborate_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -98,7 +99,7 @@ func TestGoldenDifferential(t *testing.T) {
 			m, dsName, d := m, dsName, d
 			t.Run(slugOf(m.Name())+"/"+dsName, func(t *testing.T) {
 				t.Parallel()
-				r, err := m.Run(d)
+				r, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 				if err != nil {
 					t.Fatalf("%s on %s: %v", m.Name(), dsName, err)
 				}

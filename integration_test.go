@@ -1,6 +1,7 @@
 package corroborate_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestAllMethodsSurviveAdversarialShapes(t *testing.T) {
 		d := d
 		t.Run(name, func(t *testing.T) {
 			for _, m := range suite {
-				r, err := m.Run(d)
+				r, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 				if err != nil {
 					// A clean, descriptive error is acceptable for
 					// methods with hard preconditions (e.g. the ML
@@ -132,7 +133,7 @@ func TestIncrementalVariantsSurviveAdversarialShapes(t *testing.T) {
 		d := d
 		t.Run(name, func(t *testing.T) {
 			for i, e := range variants {
-				run, err := e.RunDetailed(d)
+				run, err := e.RunDetailedWith(context.Background(), d, corroborate.RunOptions{})
 				if err != nil {
 					t.Errorf("variant %d on %q: %v", i, name, err)
 					continue
@@ -169,7 +170,7 @@ func TestCrossMethodInvariants(t *testing.T) {
 	}
 	d := w.Dataset
 	for _, m := range corroborate.Methods() {
-		r, err := m.Run(d)
+		r, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -186,7 +187,7 @@ func TestCrossMethodInvariants(t *testing.T) {
 			}
 		}
 		// Determinism: a second run must agree exactly.
-		r2, err := m.Run(d)
+		r2, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s rerun: %v", m.Name(), err)
 		}

@@ -1,9 +1,11 @@
 package answers
 
 import (
+	"context"
 	"testing"
 
 	"corroborate/internal/baseline"
+	"corroborate/internal/engine"
 	"corroborate/internal/truth"
 )
 
@@ -185,7 +187,7 @@ func TestToDatasetBridge(t *testing.T) {
 		t.Errorf("wikipedia affirms=%d denies=%d, want 3/2", affirms, denies)
 	}
 	// The bridged dataset is consumable by any method.
-	r, err := (&baseline.TwoEstimate{}).Run(d)
+	r, err := (&baseline.TwoEstimate{}).RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package audit
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"corroborate/internal/core"
+	"corroborate/internal/engine"
 	"corroborate/internal/truth"
 )
 
@@ -144,7 +146,7 @@ func TestPlanBudgetAndValidation(t *testing.T) {
 func TestPlanOnRealRun(t *testing.T) {
 	// End to end: plan audits from an IncEstScale run on the toy.
 	d := truth.MotivatingExample()
-	r, err := core.NewScale().Run(d)
+	r, err := core.NewScale().RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

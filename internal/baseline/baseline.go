@@ -5,7 +5,7 @@
 // related-work section (TruthFinder, AvgLog, Invest, PooledInvest) that are
 // useful as additional comparators.
 //
-// Every method implements truth.Method.
+// Every method implements engine.Method.
 package baseline
 
 import (
@@ -39,35 +39,32 @@ func oneShot(ctx context.Context, opts engine.Options, body func() (*truth.Resul
 // precision.
 type Voting struct{}
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (Voting) Name() string { return "Voting" }
 
-// RunWith implements engine.Runner as a single driver round: the options'
+// RunWith implements engine.Method as a single driver round: the options'
 // iteration knobs have nothing to cap, but cancellation and Observers
 // behave like every other method's.
-func (v Voting) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	return oneShot(ctx, opts, func() (*truth.Result, error) { return v.Run(d) })
-}
-
-// Run implements truth.Method.
-func (Voting) Run(d *truth.Dataset) (*truth.Result, error) {
-	r := truth.NewResult("Voting", d)
-	for f := 0; f < d.NumFacts(); f++ {
-		votes := d.VotesOnFact(f)
-		if len(votes) == 0 {
-			r.FactProb[f] = 0.5
-			continue
-		}
-		t := 0
-		for _, sv := range votes {
-			if sv.Vote == truth.Affirm {
-				t++
+func (Voting) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
+	return oneShot(ctx, opts, func() (*truth.Result, error) {
+		r := truth.NewResult("Voting", d)
+		for f := 0; f < d.NumFacts(); f++ {
+			votes := d.VotesOnFact(f)
+			if len(votes) == 0 {
+				r.FactProb[f] = 0.5
+				continue
 			}
+			t := 0
+			for _, sv := range votes {
+				if sv.Vote == truth.Affirm {
+					t++
+				}
+			}
+			r.FactProb[f] = float64(t) / float64(len(votes))
 		}
-		r.FactProb[f] = float64(t) / float64(len(votes))
-	}
-	r.Finalize()
-	return r, nil
+		r.Finalize()
+		return r, nil
+	})
 }
 
 // Counting considers a fact true only when more than half of ALL sources
@@ -75,46 +72,41 @@ func (Voting) Run(d *truth.Dataset) (*truth.Result, error) {
 // precision (Table 4: precision 0.94, recall 0.65).
 type Counting struct{}
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (Counting) Name() string { return "Counting" }
 
-// RunWith implements engine.Runner as a single driver round, like Voting's.
-func (c Counting) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	return oneShot(ctx, opts, func() (*truth.Result, error) { return c.Run(d) })
-}
-
-// Run implements truth.Method.
-func (Counting) Run(d *truth.Dataset) (*truth.Result, error) {
-	r := truth.NewResult("Counting", d)
-	n := d.NumSources()
-	for f := 0; f < d.NumFacts(); f++ {
-		t := 0
-		for _, sv := range d.VotesOnFact(f) {
-			if sv.Vote == truth.Affirm {
-				t++
+// RunWith implements engine.Method as a single driver round, like Voting's.
+func (Counting) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
+	return oneShot(ctx, opts, func() (*truth.Result, error) {
+		r := truth.NewResult("Counting", d)
+		n := d.NumSources()
+		for f := 0; f < d.NumFacts(); f++ {
+			t := 0
+			for _, sv := range d.VotesOnFact(f) {
+				if sv.Vote == truth.Affirm {
+					t++
+				}
+			}
+			if n == 0 {
+				r.FactProb[f] = 0
+				continue
+			}
+			frac := float64(t) / float64(n)
+			r.FactProb[f] = frac
+			// "more than half the sources" is a strict majority: exactly
+			// half does not qualify.
+			if score.ApproxEqual(frac, 0.5) {
+				r.FactProb[f] = 0.499999
 			}
 		}
-		if n == 0 {
-			r.FactProb[f] = 0
-			continue
-		}
-		frac := float64(t) / float64(n)
-		r.FactProb[f] = frac
-		// "more than half the sources" is a strict majority: exactly
-		// half does not qualify.
-		if score.ApproxEqual(frac, 0.5) {
-			r.FactProb[f] = 0.499999
-		}
-	}
-	r.Finalize()
-	return r, nil
+		r.Finalize()
+		return r, nil
+	})
 }
 
 var (
-	_ truth.Method  = Voting{}
-	_ truth.Method  = Counting{}
-	_ engine.Runner = Voting{}
-	_ engine.Runner = Counting{}
+	_ engine.Method = Voting{}
+	_ engine.Method = Counting{}
 )
 
 // trustFromProbs recomputes each source's trust as its mean credit over the

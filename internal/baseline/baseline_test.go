@@ -1,16 +1,18 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"corroborate/internal/engine"
 	"corroborate/internal/metrics"
 	"corroborate/internal/truth"
 )
 
 func TestVotingMotivating(t *testing.T) {
 	d := truth.MotivatingExample()
-	r, err := Voting{}.Run(d)
+	r, err := Voting{}.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestVotingMotivating(t *testing.T) {
 
 func TestCountingMotivating(t *testing.T) {
 	d := truth.MotivatingExample()
-	r, err := Counting{}.Run(d)
+	r, err := Counting{}.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestCountingExactHalfIsFalse(t *testing.T) {
 	b.Vote(f, 0, truth.Affirm)
 	b.Vote(f, 1, truth.Affirm)
 	d := b.Build()
-	r, err := Counting{}.Run(d)
+	r, err := Counting{}.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestCountingExactHalfIsFalse(t *testing.T) {
 // Table 2's precision 0.64 / recall 1 / accuracy 0.67.
 func TestTwoEstimateMotivating(t *testing.T) {
 	d := truth.MotivatingExample()
-	r, err := (&TwoEstimate{}).Run(d)
+	r, err := (&TwoEstimate{}).RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestTwoEstimateR6OutVoted(t *testing.T) {
 	// The paper explains r6's F vote from s3 is out-voted by s4's T vote
 	// because s4 ends with trust 0.9 > 1 - 0.8. Assert the mechanism.
 	d := truth.MotivatingExample()
-	r, _ := (&TwoEstimate{}).Run(d)
+	r, _ := (&TwoEstimate{}).RunWith(context.Background(), d, engine.Options{})
 	f := d.FactIndex("r6")
 	if r.Predictions[f] != truth.True {
 		t.Fatal("r6 should be (wrongly) corroborated true by TwoEstimate")
@@ -135,12 +137,12 @@ func TestTwoEstimateR6OutVoted(t *testing.T) {
 
 func TestTwoEstimateConverges(t *testing.T) {
 	d := truth.MotivatingExample()
-	r, _ := (&TwoEstimate{MaxIter: 50}).Run(d)
+	r, _ := (&TwoEstimate{}).RunWith(context.Background(), d, engine.Options{MaxIter: engine.Int(50)})
 	if r.Iterations >= 50 {
 		t.Errorf("did not converge: %d iterations", r.Iterations)
 	}
 	// Deterministic: a second run matches exactly.
-	r2, _ := (&TwoEstimate{MaxIter: 50}).Run(d)
+	r2, _ := (&TwoEstimate{}).RunWith(context.Background(), d, engine.Options{MaxIter: engine.Int(50)})
 	for f := range r.FactProb {
 		if r.FactProb[f] != r2.FactProb[f] {
 			t.Fatal("TwoEstimate is not deterministic")
@@ -152,9 +154,9 @@ func TestTwoEstimateInitialTrustInsensitive(t *testing.T) {
 	// Any initial trust above 0.5 yields the same predictions on the
 	// motivating example (the first normalization wipes the differences).
 	d := truth.MotivatingExample()
-	base, _ := (&TwoEstimate{InitialTrust: 0.9}).Run(d)
+	base, _ := (&TwoEstimate{InitialTrust: 0.9}).RunWith(context.Background(), d, engine.Options{})
 	for _, init := range []float64{0.6, 0.75, 0.99} {
-		r, _ := (&TwoEstimate{InitialTrust: init}).Run(d)
+		r, _ := (&TwoEstimate{InitialTrust: init}).RunWith(context.Background(), d, engine.Options{})
 		for f := range r.Predictions {
 			if r.Predictions[f] != base.Predictions[f] {
 				t.Errorf("init %v changes prediction of %s", init, d.FactName(f))
@@ -167,8 +169,8 @@ func TestTwoEstimateNormalizationAblation(t *testing.T) {
 	// Without normalization the trust scores must not all inflate to ~1;
 	// the paper blames normalization for the inflation.
 	d := truth.MotivatingExample()
-	with, _ := (&TwoEstimate{}).Run(d)
-	without, _ := (&TwoEstimate{DisableNormalization: true}).Run(d)
+	with, _ := (&TwoEstimate{}).RunWith(context.Background(), d, engine.Options{})
+	without, _ := (&TwoEstimate{DisableNormalization: true}).RunWith(context.Background(), d, engine.Options{})
 	avg := func(xs []float64) float64 {
 		var s float64
 		for _, x := range xs {
@@ -185,8 +187,8 @@ func TestTwoEstimateNormalizationAblation(t *testing.T) {
 func TestThreeEstimateDegeneratesOnAffirmativeData(t *testing.T) {
 	// Footnote 3: with mostly-T votes ThreeEstimate ~ TwoEstimate.
 	d := truth.MotivatingExample()
-	two, _ := (&TwoEstimate{}).Run(d)
-	three, err := (&ThreeEstimate{}).Run(d)
+	two, _ := (&TwoEstimate{}).RunWith(context.Background(), d, engine.Options{})
+	three, err := (&ThreeEstimate{}).RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +224,8 @@ func TestThreeEstimateDifficultyOnConflict(t *testing.T) {
 	b.Vote(f, 3, truth.Deny)
 	d := b.Build()
 
-	three, _ := (&ThreeEstimate{}).Run(d)
-	two, _ := (&TwoEstimate{}).Run(d)
+	three, _ := (&ThreeEstimate{}).RunWith(context.Background(), d, engine.Options{})
+	two, _ := (&TwoEstimate{}).RunWith(context.Background(), d, engine.Options{})
 	// Whoever loses the contested fact is dampened less by ThreeEstimate.
 	for s := 0; s < 4; s++ {
 		if three.Trust[s] < two.Trust[s]-1e-9 {
@@ -240,8 +242,8 @@ func TestNoVotesFactsAreNeutral(t *testing.T) {
 	f := b.Fact("voted")
 	b.Vote(f, 0, truth.Affirm)
 	d := b.Build()
-	for _, m := range []truth.Method{Voting{}, &TwoEstimate{}, &ThreeEstimate{}, &TruthFinder{}, AvgLog{}, Invest{}, PooledInvest{}} {
-		r, err := m.Run(d)
+	for _, m := range []engine.Method{Voting{}, &TwoEstimate{}, &ThreeEstimate{}, &TruthFinder{}, AvgLog{}, Invest{}, PooledInvest{}} {
+		r, err := m.RunWith(context.Background(), d, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -253,8 +255,8 @@ func TestNoVotesFactsAreNeutral(t *testing.T) {
 
 func TestEmptyDataset(t *testing.T) {
 	d := truth.NewBuilder().Build()
-	for _, m := range []truth.Method{Voting{}, Counting{}, &TwoEstimate{}, &ThreeEstimate{}, &TruthFinder{}, AvgLog{}, Invest{}, PooledInvest{}} {
-		r, err := m.Run(d)
+	for _, m := range []engine.Method{Voting{}, Counting{}, &TwoEstimate{}, &ThreeEstimate{}, &TruthFinder{}, AvgLog{}, Invest{}, PooledInvest{}} {
+		r, err := m.RunWith(context.Background(), d, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s on empty dataset: %v", m.Name(), err)
 		}

@@ -28,32 +28,15 @@ type TruthFinder struct {
 	Dampening float64
 	// Influence is the ρ weight of opposing claims; 0 means 0.5.
 	Influence float64
-	// MaxIter bounds the iterations; 0 means 100.
-	MaxIter int
-	// Tolerance is the convergence threshold on the max trust change;
-	// 0 means 1e-6.
-	Tolerance float64
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (t *TruthFinder) Name() string { return "TruthFinder" }
 
-func (t *TruthFinder) defaults() engine.Defaults {
-	return engine.Defaults{
-		MaxIter:      engine.OrInt(t.MaxIter, 100),
-		Tolerance:    engine.OrFloat(t.Tolerance, 1e-6),
-		HasTolerance: true,
-	}
-}
-
-// Run implements truth.Method.
-func (t *TruthFinder) Run(d *truth.Dataset) (*truth.Result, error) {
-	return t.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner.
+// RunWith implements engine.Method. The defaults are 100 iterations and a
+// 1e-6 tolerance on the max trust change.
 func (t *TruthFinder) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	cfg := opts.Resolve(ctx, t.defaults())
+	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 100, Tolerance: 1e-6, HasTolerance: true})
 	init := engine.OrFloat(t.InitialTrust, 0.9)
 	gamma := engine.OrFloat(t.Dampening, 0.3)
 	rho := engine.OrFloat(t.Influence, 0.5)
@@ -218,22 +201,14 @@ func prStyle(name string, d *truth.Dataset, cfg engine.Config,
 
 // AvgLog weighs a source's average claim belief by the log of its claim
 // count, rewarding prolific sources without letting volume dominate.
-type AvgLog struct {
-	// MaxIter bounds the iterations; 0 means 20.
-	MaxIter int
-}
+type AvgLog struct{}
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (AvgLog) Name() string { return "AvgLog" }
 
-// Run implements truth.Method.
-func (a AvgLog) Run(d *truth.Dataset) (*truth.Result, error) {
-	return a.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner.
+// RunWith implements engine.Method. The default is 20 iterations.
 func (a AvgLog) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: engine.OrInt(a.MaxIter, 20)})
+	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 20})
 	return prStyle(a.Name(), d, cfg,
 		func(avg float64, claims int) float64 {
 			if claims < 1 {
@@ -252,22 +227,15 @@ func (a AvgLog) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Optio
 type Invest struct {
 	// Growth is the exponent g; 0 means 1.2.
 	Growth float64
-	// MaxIter bounds the iterations; 0 means 20.
-	MaxIter int
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (Invest) Name() string { return "Invest" }
 
-// Run implements truth.Method.
-func (iv Invest) Run(d *truth.Dataset) (*truth.Result, error) {
-	return iv.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner.
+// RunWith implements engine.Method. The default is 20 iterations.
 func (iv Invest) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	g := engine.OrFloat(iv.Growth, 1.2)
-	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: engine.OrInt(iv.MaxIter, 20)})
+	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 20})
 	return prStyle(iv.Name(), d, cfg,
 		func(avg float64, claims int) float64 { return avg },
 		func(b float64) float64 { return math.Pow(b, g) })
@@ -276,22 +244,14 @@ func (iv Invest) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Opti
 // PooledInvest is Invest with linear pooling (g = 1) and trust weighted by
 // claim count, the best-performing Pasternack & Roth variant on several
 // published datasets.
-type PooledInvest struct {
-	// MaxIter bounds the iterations; 0 means 20.
-	MaxIter int
-}
+type PooledInvest struct{}
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (PooledInvest) Name() string { return "PooledInvest" }
 
-// Run implements truth.Method.
-func (p PooledInvest) Run(d *truth.Dataset) (*truth.Result, error) {
-	return p.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner.
+// RunWith implements engine.Method. The default is 20 iterations.
 func (p PooledInvest) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: engine.OrInt(p.MaxIter, 20)})
+	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 20})
 	return prStyle(p.Name(), d, cfg,
 		func(avg float64, claims int) float64 {
 			return avg * math.Sqrt(float64(claims))
@@ -300,9 +260,8 @@ func (p PooledInvest) RunWith(ctx context.Context, d *truth.Dataset, opts engine
 }
 
 var (
-	_ truth.Method  = (*TruthFinder)(nil)
-	_ engine.Runner = (*TruthFinder)(nil)
-	_ engine.Runner = AvgLog{}
-	_ engine.Runner = Invest{}
-	_ engine.Runner = PooledInvest{}
+	_ engine.Method = (*TruthFinder)(nil)
+	_ engine.Method = AvgLog{}
+	_ engine.Method = Invest{}
+	_ engine.Method = PooledInvest{}
 )

@@ -1,8 +1,10 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
+	"corroborate/internal/engine"
 	"corroborate/internal/truth"
 )
 
@@ -30,7 +32,7 @@ func conflictDataset() *truth.Dataset {
 
 func TestTruthFinderSidesWithMajority(t *testing.T) {
 	d := conflictDataset()
-	r, err := (&TruthFinder{}).Run(d)
+	r, err := (&TruthFinder{}).RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +53,8 @@ func TestTruthFinderSidesWithMajority(t *testing.T) {
 
 func TestPasternackRothVariants(t *testing.T) {
 	d := conflictDataset()
-	for _, m := range []truth.Method{AvgLog{}, Invest{}, PooledInvest{}} {
-		r, err := m.Run(d)
+	for _, m := range []engine.Method{AvgLog{}, Invest{}, PooledInvest{}} {
+		r, err := m.RunWith(context.Background(), d, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -80,7 +82,7 @@ func TestInvestGrowthConcentratesBelief(t *testing.T) {
 	b.Vote(pair, s2, truth.Affirm)
 	b.Vote(solo, s3, truth.Affirm)
 	d := b.Build()
-	r, err := Invest{Growth: 2}.Run(d)
+	r, err := Invest{Growth: 2}.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +94,8 @@ func TestInvestGrowthConcentratesBelief(t *testing.T) {
 
 func TestTruthFinderDeterministic(t *testing.T) {
 	d := conflictDataset()
-	a, _ := (&TruthFinder{}).Run(d)
-	b, _ := (&TruthFinder{}).Run(d)
+	a, _ := (&TruthFinder{}).RunWith(context.Background(), d, engine.Options{})
+	b, _ := (&TruthFinder{}).RunWith(context.Background(), d, engine.Options{})
 	for f := range a.FactProb {
 		if a.FactProb[f] != b.FactProb[f] {
 			t.Fatal("TruthFinder is not deterministic")

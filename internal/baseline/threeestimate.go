@@ -25,31 +25,15 @@ type ThreeEstimate struct {
 	InitialTrust float64
 	// InitialDifficulty seeds δ(f); 0 means 0.5.
 	InitialDifficulty float64
-	// MaxIter bounds the iterations; 0 means 100.
-	MaxIter int
-	// Tolerance is the convergence threshold; 0 means 1e-9.
-	Tolerance float64
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (e *ThreeEstimate) Name() string { return "ThreeEstimate" }
 
-func (e *ThreeEstimate) defaults() engine.Defaults {
-	return engine.Defaults{
-		MaxIter:      engine.OrInt(e.MaxIter, 100),
-		Tolerance:    engine.OrFloat(e.Tolerance, 1e-9),
-		HasTolerance: true,
-	}
-}
-
-// Run implements truth.Method.
-func (e *ThreeEstimate) Run(d *truth.Dataset) (*truth.Result, error) {
-	return e.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner.
+// RunWith implements engine.Method. The defaults are TwoEstimate's: 100
+// iterations and a 1e-9 tolerance.
 func (e *ThreeEstimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	cfg := opts.Resolve(ctx, e.defaults())
+	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 100, Tolerance: 1e-9, HasTolerance: true})
 	initTrust := engine.OrFloat(e.InitialTrust, 0.9)
 	initDiff := engine.OrFloat(e.InitialDifficulty, 0.5)
 
@@ -153,7 +137,4 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-var (
-	_ truth.Method  = (*ThreeEstimate)(nil)
-	_ engine.Runner = (*ThreeEstimate)(nil)
-)
+var _ engine.Method = (*ThreeEstimate)(nil)

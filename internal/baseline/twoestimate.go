@@ -26,11 +26,6 @@ type TwoEstimate struct {
 	// InitialTrust is the starting trust for every source; 0 means the
 	// paper's default of 0.9.
 	InitialTrust float64
-	// MaxIter bounds the number of iterations; 0 means 100.
-	MaxIter int
-	// Tolerance is the convergence threshold on the max trust change;
-	// 0 means 1e-9.
-	Tolerance float64
 	// DisableNormalization turns off step 2, keeping raw probabilities in
 	// the trust update. This is not part of the published algorithm; it
 	// exists for the ablation experiment that isolates how much of the
@@ -38,25 +33,13 @@ type TwoEstimate struct {
 	DisableNormalization bool
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (e *TwoEstimate) Name() string { return "TwoEstimate" }
 
-func (e *TwoEstimate) defaults() engine.Defaults {
-	return engine.Defaults{
-		MaxIter:      engine.OrInt(e.MaxIter, 100),
-		Tolerance:    engine.OrFloat(e.Tolerance, 1e-9),
-		HasTolerance: true,
-	}
-}
-
-// Run implements truth.Method.
-func (e *TwoEstimate) Run(d *truth.Dataset) (*truth.Result, error) {
-	return e.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner.
+// RunWith implements engine.Method. The paper defaults are 100 iterations
+// and a 1e-9 tolerance on the max trust change.
 func (e *TwoEstimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	cfg := opts.Resolve(ctx, e.defaults())
+	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 100, Tolerance: 1e-9, HasTolerance: true})
 	init := engine.OrFloat(e.InitialTrust, 0.9)
 	trust := score.Fill(make([]float64, d.NumSources()), init)
 	probs := make([]float64, d.NumFacts())
@@ -95,7 +78,4 @@ func (e *TwoEstimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine
 	return r, nil
 }
 
-var (
-	_ truth.Method  = (*TwoEstimate)(nil)
-	_ engine.Runner = (*TwoEstimate)(nil)
-)
+var _ engine.Method = (*TwoEstimate)(nil)

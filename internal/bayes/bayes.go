@@ -46,7 +46,7 @@ type Estimate struct {
 	Seed int64
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (e *Estimate) Name() string { return "BayesEstimate" }
 
 type params struct {
@@ -85,12 +85,7 @@ func (e *Estimate) params() (params, error) {
 	return p, nil
 }
 
-// Run implements truth.Method.
-func (e *Estimate) Run(d *truth.Dataset) (*truth.Result, error) {
-	return e.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner. The iteration cap counts total Gibbs
+// RunWith implements engine.Method. The iteration cap counts total Gibbs
 // sweeps (burn-in plus recorded samples): an explicit MaxIter override
 // keeps the burn-in and adjusts the number of recorded samples, so it must
 // exceed BurnIn. Options.Seed overrides the struct's Seed.
@@ -290,7 +285,4 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-var (
-	_ truth.Method  = (*Estimate)(nil)
-	_ engine.Runner = (*Estimate)(nil)
-)
+var _ engine.Method = (*Estimate)(nil)

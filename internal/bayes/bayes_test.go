@@ -1,8 +1,10 @@
 package bayes
 
 import (
+	"context"
 	"testing"
 
+	"corroborate/internal/engine"
 	"corroborate/internal/metrics"
 	"corroborate/internal/truth"
 )
@@ -12,7 +14,7 @@ func TestBayesMotivating(t *testing.T) {
 	// its high-precision low-recall prior gives F votes little weight;
 	// precision 0.58, recall 1.
 	d := truth.MotivatingExample()
-	r, err := (&Estimate{Seed: 1}).Run(d)
+	r, err := (&Estimate{Seed: 1}).RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +43,8 @@ func TestBayesMotivating(t *testing.T) {
 
 func TestBayesDeterministicForSeed(t *testing.T) {
 	d := truth.MotivatingExample()
-	a, _ := (&Estimate{Seed: 7}).Run(d)
-	b, _ := (&Estimate{Seed: 7}).Run(d)
+	a, _ := (&Estimate{Seed: 7}).RunWith(context.Background(), d, engine.Options{})
+	b, _ := (&Estimate{Seed: 7}).RunWith(context.Background(), d, engine.Options{})
 	for f := range a.FactProb {
 		if a.FactProb[f] != b.FactProb[f] {
 			t.Fatal("same seed must reproduce identical probabilities")
@@ -74,7 +76,7 @@ func TestBayesRespondsToPriors(t *testing.T) {
 	// then has a label-switching symmetry (all-true and all-false explain
 	// the data equally well) and the sampler averages to 0.5 everywhere.
 	weak := &Estimate{Alpha0True: 1, Alpha0False: 9, Alpha1True: 8, Alpha1False: 2, Seed: 3}
-	r, err := weak.Run(d)
+	r, err := weak.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,24 +87,24 @@ func TestBayesRespondsToPriors(t *testing.T) {
 
 func TestBayesInvalidConfig(t *testing.T) {
 	d := truth.MotivatingExample()
-	if _, err := (&Estimate{Alpha0True: -1, Alpha0False: 5}).Run(d); err == nil {
+	if _, err := (&Estimate{Alpha0True: -1, Alpha0False: 5}).RunWith(context.Background(), d, engine.Options{}); err == nil {
 		t.Error("negative prior must be rejected")
 	}
-	if _, err := (&Estimate{Samples: -3}).Run(d); err == nil {
+	if _, err := (&Estimate{Samples: -3}).RunWith(context.Background(), d, engine.Options{}); err == nil {
 		t.Error("negative sample count must be rejected")
 	}
 }
 
 func TestBayesEmptyAndVoteless(t *testing.T) {
 	empty := truth.NewBuilder().Build()
-	if _, err := (&Estimate{}).Run(empty); err != nil {
+	if _, err := (&Estimate{}).RunWith(context.Background(), empty, engine.Options{}); err != nil {
 		t.Fatalf("empty dataset: %v", err)
 	}
 	b := truth.NewBuilder()
 	b.AddSources("s")
 	b.Fact("orphan")
 	d := b.Build()
-	r, err := (&Estimate{Seed: 2}).Run(d)
+	r, err := (&Estimate{Seed: 2}).RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

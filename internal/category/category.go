@@ -25,7 +25,7 @@ import (
 )
 
 // Func assigns a category name to each fact of a dataset. Fact indices are
-// into the dataset passed to Run. An empty string is a valid category.
+// into the dataset passed to RunWith. An empty string is a valid category.
 type Func func(d *truth.Dataset, fact int) string
 
 // ByNamePrefix categorizes facts by the portion of their name before the
@@ -48,7 +48,7 @@ func ByNamePrefix(sep byte) Func {
 type Estimate struct {
 	// Inner builds the per-category method; it is invoked once per
 	// category so stateful methods get a fresh instance each time.
-	Inner func() truth.Method
+	Inner func() engine.Method
 	// Categorize assigns facts to categories.
 	Categorize Func
 }
@@ -66,7 +66,7 @@ type Result struct {
 	PerCategory []CategoryTrust
 }
 
-// Name implements truth.Method (for the embedded standard result the name
+// Name implements engine.Method (for the embedded standard result the name
 // is "Category(<inner>)").
 func (e *Estimate) Name() string {
 	if e.Inner == nil {
@@ -75,16 +75,7 @@ func (e *Estimate) Name() string {
 	return "Category(" + e.Inner().Name() + ")"
 }
 
-// Run implements truth.Method.
-func (e *Estimate) Run(d *truth.Dataset) (*truth.Result, error) {
-	r, err := e.RunDetailed(d)
-	if err != nil {
-		return nil, err
-	}
-	return r.Result, nil
-}
-
-// RunWith implements engine.Runner.
+// RunWith implements engine.Method.
 func (e *Estimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	r, err := e.RunDetailedWith(ctx, d, opts)
 	if err != nil {
@@ -93,13 +84,9 @@ func (e *Estimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Op
 	return r.Result, nil
 }
 
-// RunDetailed partitions, corroborates per category, and stitches.
-func (e *Estimate) RunDetailed(d *truth.Dataset) (*Result, error) {
-	return e.RunDetailedWith(context.Background(), d, engine.Options{})
-}
-
-// RunDetailedWith is RunDetailed under the shared runtime. The outer loop
-// runs one driver round per category (so cancellation lands between
+// RunDetailedWith partitions, corroborates per category, and stitches,
+// returning the per-category trust table too. The outer loop runs one
+// driver round per category (so cancellation lands between
 // categories and an Observer sees one Round per category), while MaxIter,
 // Tolerance and Seed forward to every inner run — the iteration options
 // govern the wrapped method, not the partition sweep.
@@ -130,7 +117,7 @@ func (e *Estimate) RunDetailedWith(ctx context.Context, d *truth.Dataset, opts e
 	// One driver round per category: the outer config takes only the
 	// context and Observer from opts, never its MaxIter/Tolerance — those
 	// belong to the inner runs below.
-	outer := (engine.Options{Ctx: opts.Ctx, Observer: opts.Observer}).
+	outer := (engine.Options{Observer: opts.Observer}).
 		Resolve(ctx, engine.Defaults{MaxIter: len(cats)})
 	// Defaults treats MaxIter 0 as unbounded; an empty partition must run
 	// zero rounds, so pin the cap to the category count unconditionally.
@@ -143,7 +130,7 @@ func (e *Estimate) RunDetailedWith(ctx context.Context, d *truth.Dataset, opts e
 		facts := byCat[c]
 		sub := truth.Restrict(d, facts)
 		m := e.Inner()
-		r, err := engine.Run(outer.Ctx, m, sub, inner)
+		r, err := m.RunWith(outer.Ctx, sub, inner)
 		if err != nil {
 			return 0, false, fmt.Errorf("category: %s on category %q: %w", m.Name(), c, err)
 		}
@@ -183,7 +170,4 @@ func (e *Estimate) RunDetailedWith(ctx context.Context, d *truth.Dataset, opts e
 	return out, nil
 }
 
-var (
-	_ truth.Method  = (*Estimate)(nil)
-	_ engine.Runner = (*Estimate)(nil)
-)
+var _ engine.Method = (*Estimate)(nil)

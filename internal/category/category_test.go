@@ -1,11 +1,13 @@
 package category
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"corroborate/internal/baseline"
 	"corroborate/internal/core"
+	"corroborate/internal/engine"
 	"corroborate/internal/metrics"
 	"corroborate/internal/truth"
 )
@@ -76,10 +78,10 @@ func TestByNamePrefix(t *testing.T) {
 func TestCategoryEstimateSeparatesPersonalities(t *testing.T) {
 	d := splitPersonality()
 	e := &Estimate{
-		Inner:      func() truth.Method { return core.NewScale() },
+		Inner:      func() engine.Method { return core.NewScale() },
 		Categorize: ByNamePrefix('/'),
 	}
-	run, err := e.RunDetailed(d)
+	run, err := e.RunDetailedWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +117,14 @@ func TestCategoryEstimateSeparatesPersonalities(t *testing.T) {
 
 func TestCategoryBeatsFlatOnSplitWorld(t *testing.T) {
 	d := splitPersonality()
-	flat, err := core.NewScale().Run(d)
+	flat, err := core.NewScale().RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat, err := (&Estimate{
-		Inner:      func() truth.Method { return core.NewScale() },
+		Inner:      func() engine.Method { return core.NewScale() },
 		Categorize: ByNamePrefix('/'),
-	}).Run(d)
+	}).RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +138,10 @@ func TestCategoryBeatsFlatOnSplitWorld(t *testing.T) {
 func TestCategoryWithBaselineInner(t *testing.T) {
 	d := splitPersonality()
 	e := &Estimate{
-		Inner:      func() truth.Method { return &baseline.TwoEstimate{} },
+		Inner:      func() engine.Method { return &baseline.TwoEstimate{} },
 		Categorize: ByNamePrefix('/'),
 	}
-	r, err := e.Run(d)
+	r, err := e.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +155,10 @@ func TestCategoryWithBaselineInner(t *testing.T) {
 
 func TestCategoryConfigErrors(t *testing.T) {
 	d := splitPersonality()
-	if _, err := (&Estimate{Categorize: ByNamePrefix('/')}).Run(d); err == nil {
+	if _, err := (&Estimate{Categorize: ByNamePrefix('/')}).RunWith(context.Background(), d, engine.Options{}); err == nil {
 		t.Error("missing inner method must be rejected")
 	}
-	if _, err := (&Estimate{Inner: func() truth.Method { return core.NewScale() }}).Run(d); err == nil {
+	if _, err := (&Estimate{Inner: func() engine.Method { return core.NewScale() }}).RunWith(context.Background(), d, engine.Options{}); err == nil {
 		t.Error("missing categorize function must be rejected")
 	}
 }
@@ -164,10 +166,10 @@ func TestCategoryConfigErrors(t *testing.T) {
 func TestCategoryEmptyDataset(t *testing.T) {
 	d := truth.NewBuilder().Build()
 	e := &Estimate{
-		Inner:      func() truth.Method { return core.NewScale() },
+		Inner:      func() engine.Method { return core.NewScale() },
 		Categorize: ByNamePrefix('/'),
 	}
-	r, err := e.Run(d)
+	r, err := e.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

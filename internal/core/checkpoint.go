@@ -307,21 +307,11 @@ func restoreInto(st *Stream, base, log []byte) (bool, error) {
 // install loads a validated checkpoint state into st, which must be
 // freshly constructed.
 func install(st *Stream, cs *checkpointState) error {
-	strategy, err := parseSelector(cs.Config.Strategy)
+	cfg, err := cs.Config.estimate()
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	st.Config = IncEstimate{
-		Strategy:      strategy,
-		InitialTrust:  cs.Config.InitialTrust,
-		MaxRounds:     cs.Config.MaxRounds,
-		CandidateCap:  cs.Config.CandidateCap,
-		FullGroups:    cs.Config.FullGroups,
-		FlipDeltaH:    cs.Config.FlipDeltaH,
-		SoftAbsorb:    cs.Config.SoftAbsorb,
-		AnchoredTrust: cs.Config.AnchoredTrust,
-		DeferBand:     cs.Config.DeferBand,
-	}
+	st.Config = cfg
 	st.decay = cs.TrustDecay
 	if len(cs.Sources) > 0 {
 		st.state = newTrustState(len(cs.Sources), cs.DefaultTrust)
@@ -488,20 +478,35 @@ func (r *jsonReader) fact(cf *checkpointFact) error {
 	})
 }
 
+// estimate rebuilds the stream configuration the checkpoint recorded.
+func (c *checkpointConfig) estimate() (IncEstimate, error) {
+	strategy, err := parseSelector(c.Strategy)
+	if err != nil {
+		return IncEstimate{}, err
+	}
+	return IncEstimate{
+		Strategy:      strategy,
+		InitialTrust:  c.InitialTrust,
+		MaxRounds:     c.MaxRounds,
+		CandidateCap:  c.CandidateCap,
+		FullGroups:    c.FullGroups,
+		FlipDeltaH:    c.FlipDeltaH,
+		SoftAbsorb:    c.SoftAbsorb,
+		AnchoredTrust: c.AnchoredTrust,
+		DeferBand:     c.DeferBand,
+	}, nil
+}
+
 // validate enforces every invariant a live stream maintains, so a restored
-// stream is indistinguishable from one that never stopped.
+// stream is indistinguishable from one that never stopped. The
+// configuration passes the same check every live batch does.
 func (cs *checkpointState) validate() error {
-	if _, err := parseSelector(cs.Config.Strategy); err != nil {
+	cfg, err := cs.Config.estimate()
+	if err != nil {
 		return err
 	}
-	if bad01(cs.Config.InitialTrust) {
-		return fmt.Errorf("initial trust %v out of [0, 1]", cs.Config.InitialTrust)
-	}
-	if bad01(cs.Config.DeferBand) {
-		return fmt.Errorf("defer band %v out of [0, 1]", cs.Config.DeferBand)
-	}
-	if cs.Config.MaxRounds < 0 || cs.Config.CandidateCap < 0 {
-		return fmt.Errorf("negative round or candidate bound")
+	if _, err := cfg.checkConfig(); err != nil {
+		return err
 	}
 	if len(cs.Sources) > 0 && bad01(cs.DefaultTrust) {
 		return fmt.Errorf("default trust %v out of [0, 1]", cs.DefaultTrust)

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	driver "corroborate/internal/engine"
 	"corroborate/internal/synth"
 	"corroborate/internal/truth"
 )
@@ -153,7 +155,7 @@ func BenchmarkIncEstimate(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%d", e.Name(), n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := e.Run(d); err != nil {
+					if _, err := e.RunWith(context.Background(), d, driver.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -182,7 +184,7 @@ func BenchmarkIncEstimateLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/50000", e.Name()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(crawl); err != nil {
+				if _, err := e.RunWith(context.Background(), crawl, driver.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,7 +195,7 @@ func BenchmarkIncEstimateLarge(b *testing.B) {
 		e := NewHeu()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Run(dense); err != nil {
+			if _, err := e.RunWith(context.Background(), dense, driver.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -207,7 +209,7 @@ func BenchmarkIncEstimateLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/200000", e.Name()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(big); err != nil {
+				if _, err := e.RunWith(context.Background(), big, driver.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

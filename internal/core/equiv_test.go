@@ -1,21 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
 
+	driver "corroborate/internal/engine"
 	"corroborate/internal/synth"
 	"corroborate/internal/truth"
 )
-
-// refOf returns a copy of the configuration pinned to the retained naive
-// implementation.
-func refOf(e *IncEstimate) *IncEstimate {
-	r := *e
-	r.reference = true
-	return &r
-}
 
 // equivConfigs is the strategy/knob matrix the engine must reproduce
 // bit-for-bit.
@@ -87,11 +81,11 @@ func requireRunsIdentical(t *testing.T, label string, got, want *Run) {
 
 func requireEquivalent(t *testing.T, label string, e *IncEstimate, d *truth.Dataset) {
 	t.Helper()
-	want, err := refOf(e).RunDetailed(d)
+	want, err := runRef(context.Background(), e, d)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	got, err := e.RunDetailed(d)
+	got, err := e.RunDetailedWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatalf("%s: engine: %v", label, err)
 	}
@@ -134,8 +128,8 @@ func TestEngineMatchesReferenceRandom(t *testing.T) {
 		facts := 1 + int(nfRaw%80)
 		d := randomDataset(seed, sources, facts)
 		for i, e := range configs {
-			want, err1 := refOf(e).RunDetailed(d)
-			got, err2 := e.RunDetailed(d)
+			want, err1 := runRef(context.Background(), e, d)
+			got, err2 := e.RunDetailedWith(context.Background(), d, driver.Options{})
 			if (err1 == nil) != (err2 == nil) {
 				t.Logf("seed=%d cfg%d: error mismatch %v vs %v", seed, i, err1, err2)
 				return false
@@ -202,12 +196,12 @@ func TestLazyPQEquivalence(t *testing.T) {
 // cache warm-up order cannot change any selection.
 func TestLazyPQDeterminism(t *testing.T) {
 	d := randomDataset(99, 7, 150)
-	base, err := NewHeu().RunDetailed(d)
+	base, err := NewHeu().RunDetailedWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		again, err := NewHeu().RunDetailed(d)
+		again, err := NewHeu().RunDetailedWith(context.Background(), d, driver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +210,7 @@ func TestLazyPQDeterminism(t *testing.T) {
 	// A cold-cache run and a budget-degraded run must also agree with the
 	// warm default: the cache is an accelerator, never an input.
 	withBudgets(t, 0, 0, func() {
-		cold, err := NewHeu().RunDetailed(d)
+		cold, err := NewHeu().RunDetailedWith(context.Background(), d, driver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -253,32 +253,38 @@ func TestAddBatchContextMidBatchCancellation(t *testing.T) {
 
 func TestRunContextCancellation(t *testing.T) {
 	d := randomDataset(21, 6, 200)
+	e := &IncEstimate{Strategy: SelectHeu}
 	for _, reference := range []bool{false, true} {
-		e := &IncEstimate{Strategy: SelectHeu, reference: reference}
+		run := func(ctx context.Context) (*Run, error) {
+			if reference {
+				return runRef(ctx, e, d)
+			}
+			return e.RunDetailedWith(ctx, d, driver.Options{})
+		}
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := e.RunWith(ctx, d, driver.Options{}); !errors.Is(err, context.Canceled) {
+		if _, err := run(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("reference=%v: pre-cancelled error = %v, want context.Canceled", reference, err)
 		}
 
 		// Cancel at a later round boundary: the loop checks once per round.
-		if _, err := e.RunDetailedWith(newCountdownCtx(2), d, driver.Options{}); !errors.Is(err, context.Canceled) {
+		if _, err := run(newCountdownCtx(2)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("reference=%v: mid-run error = %v, want context.Canceled", reference, err)
 		}
 
 		// An unpressured context changes nothing.
-		run, err := e.RunDetailedWith(context.Background(), d, driver.Options{})
+		got, err := run(context.Background())
 		if err != nil {
 			t.Fatalf("reference=%v: %v", reference, err)
 		}
-		base, err := e.RunDetailed(d)
+		base, err := run(context.Background())
 		if err != nil {
 			t.Fatalf("reference=%v: %v", reference, err)
 		}
-		if len(run.Trajectory) != len(base.Trajectory) {
+		if len(got.Trajectory) != len(base.Trajectory) {
 			t.Fatalf("reference=%v: context run took %d rounds, plain run %d",
-				reference, len(run.Trajectory), len(base.Trajectory))
+				reference, len(got.Trajectory), len(base.Trajectory))
 		}
 	}
 }

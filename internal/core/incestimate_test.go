@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"math"
 	"testing"
 
 	"corroborate/internal/baseline"
+	driver "corroborate/internal/engine"
 	"corroborate/internal/metrics"
 	"corroborate/internal/truth"
 )
@@ -20,11 +23,60 @@ func TestSelectorString(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	d := truth.MotivatingExample()
-	if _, err := (&IncEstimate{Strategy: Selector(7)}).Run(d); err == nil {
+	if _, err := (&IncEstimate{Strategy: Selector(7)}).RunWith(context.Background(), d, driver.Options{}); err == nil {
 		t.Error("unknown selector must be rejected")
 	}
-	if _, err := (&IncEstimate{InitialTrust: 1.5}).Run(d); err == nil {
+	if _, err := (&IncEstimate{InitialTrust: 1.5}).RunWith(context.Background(), d, driver.Options{}); err == nil {
 		t.Error("out-of-range initial trust must be rejected")
+	}
+}
+
+// TestConfigRefusedOnBothPaths: a configuration that a checkpoint would
+// refuse is refused up front by a batch run and by a stream batch alike —
+// a stream must never absorb what its own checkpoint cannot restore. The
+// refused batch leaves no trace: once its configuration is repaired, the
+// stream checkpoints to a fresh stream's bytes, restores, and ingests
+// exactly like the fresh stream.
+func TestConfigRefusedOnBothPaths(t *testing.T) {
+	d := randomDataset(3, 4, 20)
+	batches := splitByFact(d, 2)
+	for _, tc := range []struct {
+		name string
+		poke func(e *IncEstimate)
+	}{
+		{"initial trust NaN", func(e *IncEstimate) { e.InitialTrust = math.NaN() }},
+		{"initial trust -0.5", func(e *IncEstimate) { e.InitialTrust = -0.5 }},
+		{"initial trust 1.5", func(e *IncEstimate) { e.InitialTrust = 1.5 }},
+		{"defer band 2", func(e *IncEstimate) { e.DeferBand = 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewHeu()
+			tc.poke(e)
+			if r, err := e.RunWith(context.Background(), d, driver.Options{}); err == nil {
+				t.Errorf("batch run accepted the configuration (first probability %v)", r.FactProb[0])
+			}
+
+			st, fresh := NewShardedStream(1), NewShardedStream(1)
+			tc.poke(&st.Config)
+			if _, err := st.AddBatch(batches[0]); err == nil {
+				t.Fatal("stream accepted a batch under the configuration")
+			}
+			if n := st.Batches(); n != 0 {
+				t.Fatalf("refused batch left Batches() = %d, want 0", n)
+			}
+			st.Config = fresh.Config
+			ck := checkpointBytes(t, st)
+			if !bytes.Equal(ck, checkpointBytes(t, fresh)) {
+				t.Fatal("refused batch changed the checkpoint")
+			}
+			restored, err := RestoreShardedStream(bytes.NewReader(ck), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(t, restored, batches)
+			feed(t, fresh, batches)
+			requireStreamsIdentical(t, tc.name, restored, fresh)
+		})
 	}
 }
 
@@ -35,7 +87,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 // accuracy 0.83 — is reproduced exactly.
 func TestHeuMotivating(t *testing.T) {
 	d := truth.MotivatingExample()
-	run, err := NewHeu().RunDetailed(d)
+	run, err := NewHeu().RunDetailedWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +122,7 @@ func TestHeuMotivating(t *testing.T) {
 	}
 	// The central claim: strictly better than TwoEstimate on the paper's
 	// own example.
-	two, _ := (&baseline.TwoEstimate{}).Run(d)
+	two, _ := (&baseline.TwoEstimate{}).RunWith(context.Background(), d, driver.Options{})
 	twoRep := metrics.Evaluate(d, two)
 	if rep.Accuracy <= twoRep.Accuracy {
 		t.Errorf("IncEstHeu accuracy %v must beat TwoEstimate %v", rep.Accuracy, twoRep.Accuracy)
@@ -86,7 +138,7 @@ func TestHeuMotivating(t *testing.T) {
 // paper's walk-through.
 func TestHeuFirstRoundSelectsR12(t *testing.T) {
 	d := truth.MotivatingExample()
-	run, err := NewHeu().RunDetailed(d)
+	run, err := NewHeu().RunDetailedWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +163,7 @@ func TestHeuFirstRoundSelectsR12(t *testing.T) {
 
 func TestHeuTrajectoryCoversAllFactsOnce(t *testing.T) {
 	d := truth.MotivatingExample()
-	run, err := NewHeu().RunDetailed(d)
+	run, err := NewHeu().RunDetailedWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +195,7 @@ func TestHeuTrajectoryCoversAllFactsOnce(t *testing.T) {
 // negatives than TwoEstimate (§6.2.4).
 func TestPSMotivating(t *testing.T) {
 	d := truth.MotivatingExample()
-	run, err := NewPS().RunDetailed(d)
+	run, err := NewPS().RunDetailedWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +223,8 @@ func TestPSMotivating(t *testing.T) {
 
 func TestHeuBeatsPS(t *testing.T) {
 	d := truth.MotivatingExample()
-	heu, _ := NewHeu().Run(d)
-	ps, _ := NewPS().Run(d)
+	heu, _ := NewHeu().RunWith(context.Background(), d, driver.Options{})
+	ps, _ := NewPS().RunWith(context.Background(), d, driver.Options{})
 	ah := metrics.Evaluate(d, heu).Accuracy
 	ap := metrics.Evaluate(d, ps).Accuracy
 	if ah <= ap {
@@ -188,12 +240,12 @@ func TestHeuBeatsPS(t *testing.T) {
 // paper's blanket "any value above 0.5" claim.
 func TestDefaultTrustInsensitive(t *testing.T) {
 	d := truth.MotivatingExample()
-	base, err := (&IncEstimate{InitialTrust: 0.9}).Run(d)
+	base, err := (&IncEstimate{InitialTrust: 0.9}).RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, init := range []float64{0.88, 0.95, 0.99} {
-		r, err := (&IncEstimate{InitialTrust: init}).Run(d)
+		r, err := (&IncEstimate{InitialTrust: init}).RunWith(context.Background(), d, driver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,10 +255,10 @@ func TestDefaultTrustInsensitive(t *testing.T) {
 			}
 		}
 	}
-	two, _ := (&baseline.TwoEstimate{}).Run(d)
+	two, _ := (&baseline.TwoEstimate{}).RunWith(context.Background(), d, driver.Options{})
 	twoAcc := metrics.Evaluate(d, two).Accuracy
 	for _, init := range []float64{0.6, 0.7, 0.8, 0.9, 0.99} {
-		r, err := (&IncEstimate{InitialTrust: init}).Run(d)
+		r, err := (&IncEstimate{InitialTrust: init}).RunWith(context.Background(), d, driver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,8 +275,8 @@ func TestDefaultTrustInsensitive(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	d := truth.MotivatingExample()
 	for _, e := range []*IncEstimate{NewHeu(), NewPS()} {
-		a, _ := e.RunDetailed(d)
-		b, _ := e.RunDetailed(d)
+		a, _ := e.RunDetailedWith(context.Background(), d, driver.Options{})
+		b, _ := e.RunDetailedWith(context.Background(), d, driver.Options{})
 		if len(a.Trajectory) != len(b.Trajectory) {
 			t.Fatalf("%s: trajectory lengths differ", e.Name())
 		}
@@ -249,7 +301,7 @@ func TestDeterminism(t *testing.T) {
 func TestEmptyAndVotelessDatasets(t *testing.T) {
 	empty := truth.NewBuilder().Build()
 	for _, e := range []*IncEstimate{NewHeu(), NewPS()} {
-		r, err := e.Run(empty)
+		r, err := e.RunWith(context.Background(), empty, driver.Options{})
 		if err != nil {
 			t.Fatalf("%s on empty: %v", e.Name(), err)
 		}
@@ -264,7 +316,7 @@ func TestEmptyAndVotelessDatasets(t *testing.T) {
 	b.Fact("orphan2")
 	d := b.Build()
 	for _, e := range []*IncEstimate{NewHeu(), NewPS()} {
-		r, err := e.Run(d)
+		r, err := e.RunWith(context.Background(), d, driver.Options{})
 		if err != nil {
 			t.Fatalf("%s on voteless: %v", e.Name(), err)
 		}
@@ -281,7 +333,7 @@ func TestEmptyAndVotelessDatasets(t *testing.T) {
 
 func TestMaxRoundsSafetyValve(t *testing.T) {
 	d := truth.MotivatingExample()
-	r, err := (&IncEstimate{MaxRounds: 1}).RunDetailed(d)
+	r, err := (&IncEstimate{MaxRounds: 1}).RunDetailedWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +351,8 @@ func TestMaxRoundsSafetyValve(t *testing.T) {
 
 func TestCandidateCapKeepsResultsSane(t *testing.T) {
 	d := truth.MotivatingExample()
-	uncapped, _ := NewHeu().Run(d)
-	capped, _ := (&IncEstimate{CandidateCap: 2}).Run(d)
+	uncapped, _ := NewHeu().RunWith(context.Background(), d, driver.Options{})
+	capped, _ := (&IncEstimate{CandidateCap: 2}).RunWith(context.Background(), d, driver.Options{})
 	// The cap may change the schedule but must still produce a valid
 	// result covering every fact and keep recall at 1 here.
 	if err := capped.Check(d); err != nil {
@@ -318,7 +370,7 @@ func TestMultiValueTrustEvolves(t *testing.T) {
 	// corroboration differs across time points (a multi-value score),
 	// whereas single-value methods use one final vector.
 	d := truth.MotivatingExample()
-	run, _ := NewHeu().RunDetailed(d)
+	run, _ := NewHeu().RunDetailedWith(context.Background(), d, driver.Options{})
 	if len(run.Trajectory) < 2 {
 		t.Fatal("expected multiple time points")
 	}
@@ -374,7 +426,7 @@ func TestHeuUncoversFalseAffirmativeOnlyFacts(t *testing.T) {
 	}
 	d := b.Build()
 
-	heu, err := NewHeu().Run(d)
+	heu, err := NewHeu().RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +436,7 @@ func TestHeuUncoversFalseAffirmativeOnlyFacts(t *testing.T) {
 			t.Errorf("IncEstHeu should mark stale%d false, got %v (p=%v)", i, heu.Predictions[f], heu.FactProb[f])
 		}
 	}
-	two, _ := (&baseline.TwoEstimate{}).Run(d)
+	two, _ := (&baseline.TwoEstimate{}).RunWith(context.Background(), d, driver.Options{})
 	ha := metrics.Evaluate(d, heu).Accuracy
 	ta := metrics.Evaluate(d, two).Accuracy
 	if ha <= ta {

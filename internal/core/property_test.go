@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	driver "corroborate/internal/engine"
 	"corroborate/internal/synth"
 	"corroborate/internal/truth"
 )
@@ -62,7 +64,7 @@ func TestIncEstimateInvariantsOnRandomWorlds(t *testing.T) {
 		facts := 1 + int(nfRaw%60)
 		d := randomDataset(seed, sources, facts)
 		for _, e := range strategies {
-			run, err := e.RunDetailed(d)
+			run, err := e.RunDetailedWith(context.Background(), d, driver.Options{})
 			if err != nil {
 				t.Logf("seed=%d %s: %v", seed, e.Name(), err)
 				return false
@@ -256,11 +258,11 @@ func TestMetamorphicSourceRelabeling(t *testing.T) {
 	for wname, d := range metamorphicWorlds(t) {
 		renamed := renameSources(d, rename)
 		for _, e := range metamorphicConfigs() {
-			base, err := e.RunDetailed(d)
+			base, err := e.RunDetailedWith(context.Background(), d, driver.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := e.RunDetailed(renamed)
+			again, err := e.RunDetailedWith(context.Background(), renamed, driver.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,11 +307,11 @@ func TestMetamorphicFactOrder(t *testing.T) {
 			pd := permuteFacts(d, perm)
 			for _, e := range metamorphicConfigs() {
 				label := fmt.Sprintf("%s/%s/%s", wname, pname, e.Name())
-				base, err := e.RunDetailed(d)
+				base, err := e.RunDetailedWith(context.Background(), d, driver.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				again, err := e.RunDetailed(pd)
+				again, err := e.RunDetailedWith(context.Background(), pd, driver.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -399,11 +401,11 @@ func TestMetamorphicVoteDuplication(t *testing.T) {
 		dd := duplicateFacts(d)
 		for _, e := range metamorphicConfigs() {
 			label := fmt.Sprintf("%s/%s", wname, e.Name())
-			base, err := e.RunDetailed(d)
+			base, err := e.RunDetailedWith(context.Background(), d, driver.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dup, err := e.RunDetailed(dd)
+			dup, err := e.RunDetailedWith(context.Background(), dd, driver.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

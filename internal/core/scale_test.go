@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"corroborate/internal/baseline"
+	driver "corroborate/internal/engine"
 	"corroborate/internal/metrics"
 	"corroborate/internal/truth"
 )
@@ -13,7 +15,7 @@ func TestScaleOnMotivating(t *testing.T) {
 	// stability: it must still find r6 and r12, keep recall 1, and beat
 	// TwoEstimate.
 	d := truth.MotivatingExample()
-	r, err := NewScale().Run(d)
+	r, err := NewScale().RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func TestScaleOnMotivating(t *testing.T) {
 	if rep.Confusion.TN < 2 {
 		t.Errorf("TN = %d, want at least r6 and r12", rep.Confusion.TN)
 	}
-	two, _ := (&baseline.TwoEstimate{}).Run(d)
+	two, _ := (&baseline.TwoEstimate{}).RunWith(context.Background(), d, driver.Options{})
 	if rep.Accuracy <= metrics.Evaluate(d, two).Accuracy {
 		t.Errorf("IncEstScale accuracy %v must beat TwoEstimate", rep.Accuracy)
 	}
@@ -81,7 +83,7 @@ func fname(prefix string, i int) string {
 
 func TestScaleUncoversLaggardBlock(t *testing.T) {
 	d := scaleScenario()
-	r, err := NewScale().Run(d)
+	r, err := NewScale().RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestScaleTieResolvesFalseOnNegativeStream(t *testing.T) {
 		b.Label(f, truth.True)
 	}
 	d := b.Build()
-	r, err := NewScale().Run(d)
+	r, err := NewScale().RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestBackedByPositiveProtectsMixedGroups(t *testing.T) {
 		b.Label(f, truth.True)
 	}
 	d := b.Build()
-	r, err := NewScale().Run(d)
+	r, err := NewScale().RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestSoftAbsorbBoundsTrust(t *testing.T) {
 	// With soft absorption no source should be pinned at exactly 0 or 1
 	// on the motivating example (hard absorption pins several).
 	d := truth.MotivatingExample()
-	soft, err := (&IncEstimate{Strategy: SelectScale, DeferBand: 0.12, SoftAbsorb: true}).Run(d)
+	soft, err := (&IncEstimate{Strategy: SelectScale, DeferBand: 0.12, SoftAbsorb: true}).RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +210,7 @@ func TestAnchoredTrustStaysConsistent(t *testing.T) {
 	// average; on the motivating example nobody should crash to 0 while
 	// facts remain undecided, and the run must remain valid.
 	d := truth.MotivatingExample()
-	run, err := (&IncEstimate{Strategy: SelectHeu, AnchoredTrust: true}).RunDetailed(d)
+	run, err := (&IncEstimate{Strategy: SelectHeu, AnchoredTrust: true}).RunDetailedWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +228,14 @@ func TestAnchoredTrustStaysConsistent(t *testing.T) {
 
 func TestFlipDeltaHIsValidButDifferent(t *testing.T) {
 	d := truth.MotivatingExample()
-	flip, err := (&IncEstimate{Strategy: SelectHeu, FlipDeltaH: true}).Run(d)
+	flip, err := (&IncEstimate{Strategy: SelectHeu, FlipDeltaH: true}).RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := flip.Check(d); err != nil {
 		t.Fatal(err)
 	}
-	straight, _ := NewHeu().Run(d)
+	straight, _ := NewHeu().RunWith(context.Background(), d, driver.Options{})
 	same := true
 	for f := range flip.FactProb {
 		if flip.FactProb[f] != straight.FactProb[f] {
@@ -248,7 +250,7 @@ func TestFlipDeltaHIsValidButDifferent(t *testing.T) {
 
 func TestHybridRunsClean(t *testing.T) {
 	d := truth.MotivatingExample()
-	r, err := (&IncEstimate{Strategy: SelectHybrid}).Run(d)
+	r, err := (&IncEstimate{Strategy: SelectHybrid}).RunWith(context.Background(), d, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +265,8 @@ func TestHybridRunsClean(t *testing.T) {
 
 func TestScaleDeterministic(t *testing.T) {
 	d := scaleScenario()
-	a, _ := NewScale().RunDetailed(d)
-	b, _ := NewScale().RunDetailed(d)
+	a, _ := NewScale().RunDetailedWith(context.Background(), d, driver.Options{})
+	b, _ := NewScale().RunDetailedWith(context.Background(), d, driver.Options{})
 	if len(a.Trajectory) != len(b.Trajectory) {
 		t.Fatal("trajectories differ")
 	}

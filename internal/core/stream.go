@@ -308,6 +308,10 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	if err := validateBatch(votes); err != nil {
 		return nil, err
 	}
+	init, err := st.Config.checkConfig()
+	if err != nil {
+		return nil, fmt.Errorf("core: batch rejected: %w", err)
+	}
 	// Snapshot for rollback: everything the pipeline mutates before the
 	// point of no return is the symbol table and the trust-state arrays.
 	preSources, preInit := st.symtab.Len(), st.initDone
@@ -331,10 +335,6 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	}
 	d := b.Build()
 
-	init := st.Config.InitialTrust
-	if init == 0 {
-		init = 0.9
-	}
 	if !st.initDone {
 		st.state = newTrustState(0, init)
 		if st.decay != 0 {

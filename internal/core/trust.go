@@ -128,37 +128,6 @@ func (t *trustState) absorb(votes []truth.SourceVote, normProb float64, count in
 	}
 }
 
-// clone deep-copies the state; used for hypothetical ∆H projections.
-func (t *trustState) clone() *trustState {
-	c := &trustState{
-		defaultTrust: t.defaultTrust,
-		credit:       append([]float64(nil), t.credit...),
-		count:        append([]int(nil), t.count...),
-		decay:        t.decay,
-	}
-	if t.fcount != nil {
-		c.fcount = append([]float64(nil), t.fcount...)
-	}
-	if t.anchorCredit != nil {
-		c.anchorCredit = append([]float64(nil), t.anchorCredit...)
-		c.anchorCount = append([]float64(nil), t.anchorCount...)
-	}
-	return c
-}
-
-// project returns the trust vector that would result from evaluating count
-// facts with the given posting list and normalized outcome, without
-// mutating the state (anchors, when enabled, are held fixed — they lag one
-// round by design). The scratch slice (len == sources) is reused to avoid
-// allocation in the ∆H inner loop; the returned slice aliases it.
-func (t *trustState) project(votes []truth.SourceVote, normProb float64, count int, scratch []float64) []float64 {
-	for s := range scratch {
-		scratch[s] = t.trust(s)
-	}
-	t.projectInto(votes, normProb, count, scratch)
-	return scratch
-}
-
 // projectInto overwrites dst's entries for the posting list's sources with
 // the trust each would have after evaluating count facts with the given
 // normalized outcome. dst must already hold the state's current trust for

@@ -183,15 +183,10 @@ type Voting struct {
 	Rounds int
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (Voting) Name() string { return "DependVoting" }
 
-// Run implements truth.Method.
-func (v Voting) Run(d *truth.Dataset) (*truth.Result, error) {
-	return v.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner: Options.MaxIter overrides the round
+// RunWith implements engine.Method: Options.MaxIter overrides the round
 // count (dependence is re-scored between rounds, never after the last).
 func (v Voting) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	rounds := engine.OrInt(v.Rounds, 3)
@@ -265,7 +260,4 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-var (
-	_ truth.Method  = Voting{}
-	_ engine.Runner = Voting{}
-)
+var _ engine.Method = Voting{}

@@ -1,9 +1,11 @@
 package depend
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"corroborate/internal/engine"
 	"corroborate/internal/truth"
 )
 
@@ -167,7 +169,7 @@ func TestDependVotingOutvotesTheClique(t *testing.T) {
 	b.Label(disputed, truth.False)
 	d := b.Build()
 
-	r, err := Voting{}.Run(d)
+	r, err := Voting{}.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +188,14 @@ func TestDependVotingOutvotesTheClique(t *testing.T) {
 
 func TestDependVotingOnEmptyAndVoteless(t *testing.T) {
 	empty := truth.NewBuilder().Build()
-	if _, err := (Voting{}).Run(empty); err != nil {
+	if _, err := (Voting{}).RunWith(context.Background(), empty, engine.Options{}); err != nil {
 		t.Fatalf("empty: %v", err)
 	}
 	b := truth.NewBuilder()
 	b.AddSources("s")
 	b.Fact("orphan")
 	d := b.Build()
-	r, err := Voting{}.Run(d)
+	r, err := Voting{}.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,27 +9,27 @@
 //
 // The runtime has three parts:
 //
-//   - Options / Defaults / Config: caller-supplied run options (context,
-//     iteration cap, tolerance, seed, per-round Observer) resolved against
-//     a method's paper-faithful defaults. Options uses pointer fields so an
-//     explicit zero is distinguishable from "unset" — the bug class the
-//     legacy `0 means default` struct fields cannot express.
+//   - Options / Defaults / Config: caller-supplied run options (iteration
+//     cap, tolerance, seed, per-round Observer) resolved against a
+//     method's paper-faithful defaults. Options is the only run-time
+//     override; its pointer fields distinguish an explicit zero from
+//     "unset", which a "0 means default" struct field cannot express.
 //   - Iterate: the generic fixpoint driver. It owns the iteration cap, the
-//     tolerance-based convergence check (with MaxDelta and CosineDistance
-//     as the standard change measures), round-boundary cancellation (a
-//     round is never interrupted mid-flight), and Observer dispatch. A
-//     method's Step closure performs exactly one round and reports its
-//     convergence measure; the driver decides whether to keep going.
+//     tolerance-based convergence check (with MaxDelta as the standard
+//     change measure), round-boundary cancellation (a round is never
+//     interrupted mid-flight), and Observer dispatch. A method's Step
+//     closure performs exactly one round and reports its convergence
+//     measure; the driver decides whether to keep going.
 //   - Registry: the method catalogue (name → constructor plus metadata:
 //     paper section, iterative?, seeded?) that backs the facade's
 //     Methods()/NewMethod and the CLI's -list output.
 //
-// Methods expose the runtime through
+// Every method implements one interface, Method, whose single entry point
 //
 //	RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options)
 //
-// (the Runner interface); the legacy Run(d) entry points are thin adapters
-// over RunWith with a background context and empty options, and are
-// byte-identical to their pre-runtime behaviour — locked down by the golden
-// differential suite at the repository root.
+// takes the context and the options directly; callers invoke it on the
+// method itself, with no dispatcher in between. With a background context
+// and empty options each method reproduces its paper defaults bit for bit
+// — locked down by the golden differential suite at the repository root.
 package engine

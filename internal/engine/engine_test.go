@@ -215,17 +215,7 @@ func TestResolvePrecedence(t *testing.T) {
 	if cfg.MaxIter != 7 || !approx(cfg.Tolerance, 0.25) || cfg.Seed != 11 {
 		t.Errorf("overrides not applied: %+v", cfg)
 	}
-	optCtx := context.WithValue(context.Background(), ctxKey{}, "opt")
-	argCtx := context.WithValue(context.Background(), ctxKey{}, "arg")
-	if got := (Options{Ctx: optCtx}).Resolve(argCtx, def).Ctx; got != argCtx {
-		t.Error("explicit ctx argument must win over Options.Ctx")
-	}
-	if got := (Options{Ctx: optCtx}).Resolve(nil, def).Ctx; got != optCtx {
-		t.Error("Options.Ctx must back a nil ctx argument")
-	}
 }
-
-type ctxKey struct{}
 
 func TestOrHelpers(t *testing.T) {
 	if OrInt(0, 100) != 100 || OrInt(3, 100) != 3 {
@@ -245,24 +235,6 @@ func TestMaxDelta(t *testing.T) {
 	}
 }
 
-func TestCosineDistance(t *testing.T) {
-	cases := []struct {
-		a, b []float64
-		want float64
-	}{
-		{[]float64{1, 0}, []float64{2, 0}, 0},
-		{[]float64{1, 0}, []float64{0, 1}, 1},
-		{[]float64{1, 1}, []float64{-1, -1}, 2},
-		{[]float64{0, 0}, []float64{0, 0}, 0},
-		{[]float64{0, 0}, []float64{1, 0}, 1},
-	}
-	for _, tc := range cases {
-		if got := CosineDistance(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("CosineDistance(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := Rand(42), Rand(42)
 	for i := 0; i < 16; i++ {
@@ -275,7 +247,7 @@ func TestRandDeterminism(t *testing.T) {
 type stubMethod struct{ name string }
 
 func (s stubMethod) Name() string { return s.name }
-func (s stubMethod) Run(d *truth.Dataset) (*truth.Result, error) {
+func (s stubMethod) RunWith(_ context.Context, d *truth.Dataset, _ Options) (*truth.Result, error) {
 	return truth.NewResult(s.name, d), nil
 }
 
@@ -283,17 +255,17 @@ func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	for _, name := range []string{"Alpha", "Beta", "Gamma"} {
 		name := name
-		if err := r.Register(Entry{Name: name, New: func() truth.Method { return stubMethod{name} }}); err != nil {
+		if err := r.Register(Entry{Name: name, New: func() Method { return stubMethod{name} }}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Register(Entry{Name: "alpha", New: func() truth.Method { return stubMethod{"alpha"} }}); err == nil {
+	if err := r.Register(Entry{Name: "alpha", New: func() Method { return stubMethod{"alpha"} }}); err == nil {
 		t.Error("case-insensitive duplicate must be rejected")
 	}
 	if err := r.Register(Entry{Name: "NoCtor"}); err == nil {
 		t.Error("entry without constructor must be rejected")
 	}
-	if err := r.Register(Entry{New: func() truth.Method { return stubMethod{""} }}); err == nil {
+	if err := r.Register(Entry{New: func() Method { return stubMethod{""} }}); err == nil {
 		t.Error("entry without name must be rejected")
 	}
 	if got := r.Names(); strings.Join(got, ",") != "Alpha,Beta,Gamma" {
@@ -311,19 +283,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if ms := r.Methods(); len(ms) != 3 || ms[1].Name() != "Beta" {
 		t.Errorf("Methods() = %v", ms)
-	}
-}
-
-func TestRunFallsBackToLegacyRun(t *testing.T) {
-	d := truth.MotivatingExample()
-	r, err := Run(context.Background(), stubMethod{"stub"}, d, Options{})
-	if err != nil || r.Method != "stub" {
-		t.Fatalf("Run = %v, %v", r, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Run(ctx, stubMethod{"stub"}, d, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled legacy Run = %v, want context.Canceled", err)
 	}
 }
 

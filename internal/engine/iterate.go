@@ -102,27 +102,6 @@ func MaxDelta(prev, next []float64) float64 {
 	return d
 }
 
-// CosineDistance is the alternative change measure, 1 - cos(prev, next):
-// zero for parallel vectors, one for orthogonal ones. A zero vector is
-// parallel to itself and orthogonal to everything else.
-func CosineDistance(prev, next []float64) float64 {
-	var dot, np, nn float64
-	for i := range next {
-		dot += prev[i] * next[i]
-		np += prev[i] * prev[i]
-		nn += next[i] * next[i]
-	}
-	//lint:ignore floatexact a norm is exactly zero only for the all-zero vector, which needs the special case below
-	if np == 0 || nn == 0 {
-		//lint:ignore floatexact same zero-vector special case
-		if np == 0 && nn == 0 {
-			return 0
-		}
-		return 1
-	}
-	return 1 - dot/math.Sqrt(np*nn)
-}
-
 // Rand returns the deterministic generator every seeded method draws from:
 // one seeded source per run, never the global math/rand stream.
 func Rand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -11,12 +11,8 @@ type Observer func(Round)
 // Options are the caller-supplied run options shared by every method.
 // Pointer fields distinguish "unset" (nil — use the method's paper
 // default) from an explicit zero: Tolerance: Float64(0) demands an exact
-// fixpoint and MaxIter: Int(0) runs zero rounds, while the legacy struct
-// fields on the methods keep their documented "0 means default" reading.
+// fixpoint and MaxIter: Int(0) runs zero rounds.
 type Options struct {
-	// Ctx is the fallback context used when the entry point does not take
-	// one (the legacy Run path). An explicit RunWith context wins.
-	Ctx context.Context
 	// MaxIter overrides the method's iteration/round cap. Negative values
 	// remove the cap entirely.
 	MaxIter *int
@@ -26,13 +22,6 @@ type Options struct {
 	// Seed overrides the RNG seed of seeded methods, so one -seed value
 	// reproduces every randomized run.
 	Seed *int64
-	// TrustDecay sets the per-batch exponential trust-decay factor λ of
-	// streaming runs: evidence absorbed k batches ago carries weight λ^k,
-	// so a drifting source's stale reputation washes out. Offline (single
-	// dataset) methods ignore it — there is only one time point to decay
-	// across. nil and explicit 0 (or 1) both mean no decay, the pre-decay
-	// byte-identical behaviour.
-	TrustDecay *float64
 	// Observer, when non-nil, is invoked once per completed round.
 	Observer Observer
 }
@@ -80,14 +69,11 @@ type Config struct {
 	CheckTolerance bool
 	// Seed is the resolved RNG seed.
 	Seed int64
-	// TrustDecay is the resolved streaming decay factor; 0 means disabled.
-	TrustDecay float64
 	// Observer is dispatched by the driver after every round (may be nil).
 	Observer Observer
 }
 
-// Resolve merges the options over the method defaults. The explicit ctx
-// argument wins; a nil ctx falls back to Options.Ctx, then to
+// Resolve merges the options over the method defaults. A nil ctx means
 // context.Background. An explicit MaxIter of zero is honoured (zero
 // rounds); a negative one removes the cap. An explicit Tolerance arms the
 // convergence check even on fixed-round methods.
@@ -100,9 +86,6 @@ func (o Options) Resolve(ctx context.Context, def Defaults) Config {
 		CheckTolerance: def.HasTolerance,
 		Seed:           def.Seed,
 		Observer:       o.Observer,
-	}
-	if cfg.Ctx == nil {
-		cfg.Ctx = o.Ctx
 	}
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
@@ -118,15 +101,12 @@ func (o Options) Resolve(ctx context.Context, def Defaults) Config {
 	if o.Seed != nil {
 		cfg.Seed = *o.Seed
 	}
-	if o.TrustDecay != nil {
-		cfg.TrustDecay = *o.TrustDecay
-	}
 	return cfg
 }
 
-// OrInt resolves a legacy "0 means default" struct field: it returns v
-// unless v is zero, in which case def. New code should prefer Options,
-// which can express an explicit zero.
+// OrInt resolves a "0 means default" struct field: it returns v unless v
+// is zero, in which case def. Run-time overrides belong in Options, which
+// can express an explicit zero.
 func OrInt(v, def int) int {
 	if v == 0 {
 		return def

@@ -8,37 +8,22 @@ import (
 	"corroborate/internal/truth"
 )
 
-// Runner is a corroboration method that accepts the shared run options.
-// Every registered method implements it; the legacy Run entry point of
-// truth.Method is an adapter over RunWith with empty options.
-type Runner interface {
-	truth.Method
-	// RunWith corroborates the dataset under the shared runtime: ctx is
-	// checked at every round boundary, and opts overrides the method's
-	// defaults (iteration cap, tolerance, seed) and attaches an Observer.
+// Method is a corroboration algorithm run under the shared runtime: given
+// a dataset of votes it estimates which facts are true and (usually) how
+// trustworthy each source is. Every registered method implements it.
+type Method interface {
+	// Name returns the method's display name as used in the paper's tables
+	// (e.g. "TwoEstimate", "IncEstHeu").
+	Name() string
+	// RunWith corroborates the dataset: ctx is checked at every round
+	// boundary, and opts overrides the method's defaults (iteration cap,
+	// tolerance, seed) and attaches an Observer. Implementations must not
+	// retain or mutate the dataset.
 	RunWith(ctx context.Context, d *truth.Dataset, opts Options) (*truth.Result, error)
 }
 
-// Run executes any method under the shared runtime: through RunWith when
-// the method implements Runner, otherwise via the legacy Run entry point
-// after an initial context check.
-func Run(ctx context.Context, m truth.Method, d *truth.Dataset, opts Options) (*truth.Result, error) {
-	if r, ok := m.(Runner); ok {
-		return r.RunWith(ctx, d, opts)
-	}
-	if ctx == nil {
-		ctx = opts.Ctx
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, &Cancelled{Round: 0, Err: err}
-		}
-	}
-	return m.Run(d)
-}
-
 // Constructor builds a fresh instance of a registered method.
-type Constructor func() truth.Method
+type Constructor func() Method
 
 // Entry is one registry row: a constructor plus the metadata that drives
 // the CLI's -list output and the README's generated method table.
@@ -121,7 +106,7 @@ func (r *Registry) Names() []string {
 }
 
 // New constructs the named method, or an error listing what is available.
-func (r *Registry) New(name string) (truth.Method, error) {
+func (r *Registry) New(name string) (Method, error) {
 	e, ok := r.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown method %q (available: %s)",
@@ -131,8 +116,8 @@ func (r *Registry) New(name string) (truth.Method, error) {
 }
 
 // Methods constructs every registered method in presentation order.
-func (r *Registry) Methods() []truth.Method {
-	out := make([]truth.Method, len(r.entries))
+func (r *Registry) Methods() []Method {
+	out := make([]Method, len(r.entries))
 	for i, e := range r.entries {
 		out[i] = e.New()
 	}

@@ -158,13 +158,13 @@ func (o Options) engineOpts() engine.Options {
 
 // run executes one method under the shared engine runtime with the
 // options' iteration and cancellation settings.
-func (o Options) run(m truth.Method, d *truth.Dataset) (*truth.Result, error) {
-	return engine.Run(o.ctx(), m, d, o.engineOpts())
+func (o Options) run(m engine.Method, d *truth.Dataset) (*truth.Result, error) {
+	return m.RunWith(o.ctx(), d, o.engineOpts())
 }
 
 // methodSuite returns the Table 4/5/6 method roster in presentation order.
-func methodSuite(seed int64) []truth.Method {
-	return []truth.Method{
+func methodSuite(seed int64) []engine.Method {
+	return []engine.Method{
 		baseline.Voting{},
 		baseline.Counting{},
 		&bayes.Estimate{Seed: seed},
@@ -185,13 +185,13 @@ func fmtF(x float64) string { return fmt.Sprintf("%.2f", x) }
 // (metrics.Evaluate) is itself an operator composition — golden stream ⋈
 // predictions, aggregated into the confusion matrix — so this function is
 // only the fan-out; no per-table loop materializes intermediate slices.
-func evalParallel(o Options, d *truth.Dataset, methods []truth.Method) ([]metrics.Report, error) {
+func evalParallel(o Options, d *truth.Dataset, methods []engine.Method) ([]metrics.Report, error) {
 	reports := make([]metrics.Report, len(methods))
 	errs := make([]error, len(methods))
 	var wg sync.WaitGroup
 	for i, m := range methods {
 		wg.Add(1)
-		go func(i int, m truth.Method) {
+		go func(i int, m engine.Method) {
 			defer wg.Done()
 			r, err := o.run(m, d)
 			if err != nil {
@@ -252,7 +252,7 @@ func Table2(o Options) (*Table, error) {
 			"paper: TwoEstimate 0.64/1/0.67, BayesEstimate 0.58/1/0.58, our strategy 0.78/1/0.83",
 		},
 	}
-	for _, m := range []truth.Method{&baseline.TwoEstimate{}, &bayes.Estimate{Seed: o.seed()}, core.NewHeu()} {
+	for _, m := range []engine.Method{&baseline.TwoEstimate{}, &bayes.Estimate{Seed: o.seed()}, core.NewHeu()} {
 		r, err := o.run(m, d)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s on Table 1: %w", m.Name(), err)
@@ -350,7 +350,7 @@ func Table5(o Options) (*Table, error) {
 		ref = append(ref, fmtF(st.Accuracy[s]))
 	}
 	t.Rows = append(t.Rows, append(ref, "-"))
-	for _, m := range []truth.Method{&baseline.TwoEstimate{}, &bayes.Estimate{Seed: o.seed()}, ml.MLLogistic{Seed: o.seed()}, core.NewHeu(), core.NewScale()} {
+	for _, m := range []engine.Method{&baseline.TwoEstimate{}, &bayes.Estimate{Seed: o.seed()}, ml.MLLogistic{Seed: o.seed()}, core.NewHeu(), core.NewScale()} {
 		r, err := o.run(m, w.Dataset)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s for Table 5: %w", m.Name(), err)
@@ -445,7 +445,7 @@ func Table7(o Options) (*Table, error) {
 			"paper: Voting 292, Counting 327, TwoEstimate 269, ThreeEstimate 270, IncEstHeu 262",
 		},
 	}
-	methods := []truth.Method{
+	methods := []engine.Method{
 		baseline.Voting{},
 		baseline.Counting{},
 		&baseline.TwoEstimate{},
@@ -505,8 +505,8 @@ func Figure2(o Options) (*Table, error) {
 }
 
 // figure3Methods is the roster the paper plots in Figure 3.
-func figure3Methods(seed int64) []truth.Method {
-	return []truth.Method{
+func figure3Methods(seed int64) []engine.Method {
+	return []engine.Method{
 		core.NewScale(),
 		&baseline.TwoEstimate{},
 		&bayes.Estimate{Seed: seed},
@@ -515,7 +515,7 @@ func figure3Methods(seed int64) []truth.Method {
 	}
 }
 
-func synthAccuracy(o Options, cfg synth.Config, m truth.Method) (float64, error) {
+func synthAccuracy(o Options, cfg synth.Config, m engine.Method) (float64, error) {
 	w, err := synth.Generate(cfg)
 	if err != nil {
 		return 0, err
@@ -642,7 +642,7 @@ func Extended(o Options) (*Table, error) {
 		Title:  "related-work methods on the restaurant world",
 		Header: []string{"method", "precision", "recall", "accuracy", "F-1", "TN"},
 	}
-	methods := []truth.Method{
+	methods := []engine.Method{
 		&baseline.ThreeEstimate{},
 		&baseline.TruthFinder{},
 		baseline.AvgLog{},
@@ -685,7 +685,7 @@ func Seeds(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		reports, err := evalParallel(o, w.Dataset, []truth.Method{
+		reports, err := evalParallel(o, w.Dataset, []engine.Method{
 			baseline.Voting{}, &baseline.TwoEstimate{}, core.NewScale(),
 		})
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"corroborate/internal/bayes"
 	"corroborate/internal/core"
 	"corroborate/internal/depend"
+	"corroborate/internal/engine"
 	"corroborate/internal/ml"
 	"corroborate/internal/pipeline"
 	"corroborate/internal/synth"
@@ -51,8 +52,8 @@ type RobustnessReport struct {
 
 // robustnessMethods mirrors the full method registry (presentation order)
 // plus the dependence-aware voter, which the copier regime exists to test.
-func robustnessMethods(seed int64) []truth.Method {
-	return []truth.Method{
+func robustnessMethods(seed int64) []engine.Method {
+	return []engine.Method{
 		baseline.Voting{},
 		baseline.Counting{},
 		&bayes.Estimate{Seed: seed},

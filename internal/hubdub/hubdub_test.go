@@ -1,10 +1,12 @@
 package hubdub
 
 import (
+	"context"
 	"testing"
 
 	"corroborate/internal/baseline"
 	"corroborate/internal/core"
+	"corroborate/internal/engine"
 	"corroborate/internal/truth"
 )
 
@@ -122,9 +124,9 @@ func TestMethodOrderingMatchesTable7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(m truth.Method) int {
+	run := func(m engine.Method) int {
 		t.Helper()
-		r, err := m.Run(w.Dataset)
+		r, err := m.RunWith(context.Background(), w.Dataset, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}

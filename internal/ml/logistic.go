@@ -104,7 +104,7 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// MLLogistic is the truth.Method wrapper: 10-fold CV over the golden set.
+// MLLogistic is the engine.Method wrapper: 10-fold CV over the golden set.
 type MLLogistic struct {
 	// Folds is the cross-validation fold count; 0 means the paper's 10.
 	Folds int
@@ -112,15 +112,10 @@ type MLLogistic struct {
 	Seed int64
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (MLLogistic) Name() string { return "ML-Logistic" }
 
-// Run implements truth.Method.
-func (m MLLogistic) Run(d *truth.Dataset) (*truth.Result, error) {
-	return m.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner: Options.Seed overrides the fold
+// RunWith implements engine.Method: Options.Seed overrides the fold
 // shuffle (the descent itself is deterministic).
 func (m MLLogistic) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	folds := engine.OrInt(m.Folds, 10)
@@ -128,7 +123,4 @@ func (m MLLogistic) RunWith(ctx context.Context, d *truth.Dataset, opts engine.O
 		func(int64) Classifier { return &Logistic{} })
 }
 
-var (
-	_ truth.Method  = MLLogistic{}
-	_ engine.Runner = MLLogistic{}
-)
+var _ engine.Method = MLLogistic{}

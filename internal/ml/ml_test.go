@@ -1,9 +1,11 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"corroborate/internal/engine"
 	"corroborate/internal/metrics"
 	"corroborate/internal/truth"
 )
@@ -130,8 +132,8 @@ func votesWorld(n int) *truth.Dataset {
 
 func TestCrossValidationLearnsOracleSource(t *testing.T) {
 	d := votesWorld(200)
-	for _, m := range []truth.Method{MLLogistic{Seed: 1}, MLSVM{Seed: 1}} {
-		r, err := m.Run(d)
+	for _, m := range []engine.Method{MLLogistic{Seed: 1}, MLSVM{Seed: 1}} {
+		r, err := m.RunWith(context.Background(), d, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -147,8 +149,8 @@ func TestCrossValidationLearnsOracleSource(t *testing.T) {
 
 func TestCrossValidationDeterministic(t *testing.T) {
 	d := votesWorld(100)
-	a, _ := MLLogistic{Seed: 9}.Run(d)
-	b, _ := MLLogistic{Seed: 9}.Run(d)
+	a, _ := MLLogistic{Seed: 9}.RunWith(context.Background(), d, engine.Options{})
+	b, _ := MLLogistic{Seed: 9}.RunWith(context.Background(), d, engine.Options{})
 	for f := range a.FactProb {
 		if a.FactProb[f] != b.FactProb[f] {
 			t.Fatal("same seed must reproduce identical CV predictions")

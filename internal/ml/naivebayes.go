@@ -95,7 +95,7 @@ func (nb *NaiveBayes) PredictProb(x []float64) float64 {
 	return sigmoid(logOdds)
 }
 
-// MLNaiveBayes is the truth.Method wrapper: 10-fold CV over the golden set.
+// MLNaiveBayes is the engine.Method wrapper: 10-fold CV over the golden set.
 type MLNaiveBayes struct {
 	// Folds is the cross-validation fold count; 0 means 10.
 	Folds int
@@ -103,15 +103,10 @@ type MLNaiveBayes struct {
 	Seed int64
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (MLNaiveBayes) Name() string { return "ML-NaiveBayes" }
 
-// Run implements truth.Method.
-func (m MLNaiveBayes) Run(d *truth.Dataset) (*truth.Result, error) {
-	return m.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner: Options.Seed overrides the fold
+// RunWith implements engine.Method: Options.Seed overrides the fold
 // shuffle (counting is deterministic).
 func (m MLNaiveBayes) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	folds := engine.OrInt(m.Folds, 10)
@@ -121,6 +116,5 @@ func (m MLNaiveBayes) RunWith(ctx context.Context, d *truth.Dataset, opts engine
 
 var (
 	_ Classifier    = (*NaiveBayes)(nil)
-	_ truth.Method  = MLNaiveBayes{}
-	_ engine.Runner = MLNaiveBayes{}
+	_ engine.Method = MLNaiveBayes{}
 )

@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"context"
 	"testing"
 
+	"corroborate/internal/engine"
 	"corroborate/internal/metrics"
 )
 
@@ -46,7 +48,7 @@ func TestNaiveBayesFitErrors(t *testing.T) {
 
 func TestNaiveBayesCrossValidation(t *testing.T) {
 	d := votesWorld(200)
-	r, err := MLNaiveBayes{Seed: 1}.Run(d)
+	r, err := MLNaiveBayes{Seed: 1}.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

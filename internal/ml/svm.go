@@ -183,7 +183,7 @@ func (s *SVM) Margin(x []float64) float64 {
 	return dot(s.weights, x) + s.bias
 }
 
-// MLSVM is the truth.Method wrapper: 10-fold CV over the golden set with
+// MLSVM is the engine.Method wrapper: 10-fold CV over the golden set with
 // the SMO-trained SVM, matching the paper's "ML-SVM (SMO)" row.
 type MLSVM struct {
 	// Folds is the cross-validation fold count; 0 means the paper's 10.
@@ -192,15 +192,10 @@ type MLSVM struct {
 	Seed int64
 }
 
-// Name implements truth.Method.
+// Name implements engine.Method.
 func (MLSVM) Name() string { return "ML-SVM (SMO)" }
 
-// Run implements truth.Method.
-func (m MLSVM) Run(d *truth.Dataset) (*truth.Result, error) {
-	return m.RunWith(context.Background(), d, engine.Options{})
-}
-
-// RunWith implements engine.Runner: Options.Seed overrides both the fold
+// RunWith implements engine.Method: Options.Seed overrides both the fold
 // shuffle and the SMO partner-selection stream.
 func (m MLSVM) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	folds := engine.OrInt(m.Folds, 10)
@@ -208,7 +203,4 @@ func (m MLSVM) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Option
 		func(seed int64) Classifier { return &SVM{Seed: seed} })
 }
 
-var (
-	_ truth.Method  = MLSVM{}
-	_ engine.Runner = MLSVM{}
-)
+var _ engine.Method = MLSVM{}

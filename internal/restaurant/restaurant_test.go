@@ -1,9 +1,11 @@
 package restaurant
 
 import (
+	"context"
 	"testing"
 
 	"corroborate/internal/core"
+	"corroborate/internal/engine"
 	"corroborate/internal/metrics"
 	"corroborate/internal/truth"
 )
@@ -235,7 +237,7 @@ func TestIncEstScaleDynamicsGuard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := core.NewScale().RunDetailed(w.Dataset)
+		run, err := core.NewScale().RunDetailedWith(context.Background(), w.Dataset, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,9 +170,6 @@ func (s *Server) TenantNames() []string {
 	return append([]string(nil), s.names...)
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully shuts the service down: admission closes on every
 // tenant first (no tenant keeps admitting while another flushes), then
 // each tenant flushes its queued batches through the normal acknowledged

@@ -61,13 +61,6 @@ func (b *Builder) AddSources(names ...string) {
 	}
 }
 
-// AddFacts interns several facts at once.
-func (b *Builder) AddFacts(names ...string) {
-	for _, n := range names {
-		b.Fact(n)
-	}
-}
-
 // Grow reserves log capacity for at least n additional votes, so that the
 // next n Vote calls append without reallocating.
 func (b *Builder) Grow(n int) {

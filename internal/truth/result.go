@@ -78,14 +78,3 @@ func (r *Result) Check(d *Dataset) error {
 	}
 	return nil
 }
-
-// Method is a corroboration algorithm: given a dataset of votes it estimates
-// which facts are true and (usually) how trustworthy each source is.
-type Method interface {
-	// Name returns the method's display name as used in the paper's tables
-	// (e.g. "TwoEstimate", "IncEstHeu").
-	Name() string
-	// Run corroborates the dataset. Implementations must not retain or
-	// mutate the dataset.
-	Run(d *Dataset) (*Result, error)
-}

@@ -196,9 +196,6 @@ func (d *Dataset) FactName(f int) string { return d.facts.Name(uint32(f)) }
 // SourceNames returns a copy of all source names in index order.
 func (d *Dataset) SourceNames() []string { return d.sources.Names() }
 
-// FactNames returns a copy of all fact names in index order.
-func (d *Dataset) FactNames() []string { return d.facts.Names() }
-
 // SourceIndex returns the index of the source with the given name, or -1.
 func (d *Dataset) SourceIndex(name string) int {
 	if id, ok := d.sources.Lookup(name); ok {
@@ -242,13 +239,6 @@ func (d *Dataset) VotesBySource(s int) []FactVote {
 
 // Label returns the ground truth of fact f (Unknown if unavailable).
 func (d *Dataset) Label(f int) Label { return d.labels[f] }
-
-// Labels returns a copy of all ground-truth labels in fact order.
-func (d *Dataset) Labels() []Label {
-	out := make([]Label, len(d.labels))
-	copy(out, d.labels)
-	return out
-}
 
 // HasTruth reports whether any fact carries a ground-truth label.
 func (d *Dataset) HasTruth() bool {

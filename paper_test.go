@@ -8,6 +8,7 @@ package corroborate_test
 // Section 2.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestPaperSection21TwoEstimate(t *testing.T) {
 	// motivating example yields a result of true for all the restaurants
 	// except for r12, and a trust score of {1, 1, 0.8, 0.9, 1}".
 	d := corroborate.MotivatingExample()
-	r, err := corroborate.TwoEstimate().Run(d)
+	r, err := corroborate.TwoEstimate().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestPaperSection22BayesEstimate(t *testing.T) {
 	// for all restaurants, which translates to a precision of 0.58 and
 	// recall of 1".
 	d := corroborate.MotivatingExample()
-	r, err := corroborate.BayesEstimate().Run(d)
+	r, err := corroborate.BayesEstimate().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestPaperSection23OurStrategy(t *testing.T) {
 	// accuracy 0.83, uncovering r5, r6 and r12, with final trust
 	// {0.67, 1, 1, 0.7, 1}; the first round processes r9 and r12.
 	d := corroborate.MotivatingExample()
-	run, err := corroborate.IncEstHeu().RunDetailed(d)
+	run, err := corroborate.IncEstHeu().RunDetailedWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +104,8 @@ func TestPaperFootnote3ThreeEstimate(t *testing.T) {
 	// Footnote 3: on mostly-affirmative data ThreeEstimate "essentially
 	// simplifies to the TwoEstimate algorithm".
 	d := corroborate.MotivatingExample()
-	two, _ := corroborate.TwoEstimate().Run(d)
-	three, err := corroborate.ThreeEstimate().Run(d)
+	two, _ := corroborate.TwoEstimate().RunWith(context.Background(), d, corroborate.RunOptions{})
+	three, err := corroborate.ThreeEstimate().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestPaperSection624IncEstPS(t *testing.T) {
 	// facts with only T votes have been evaluated", ending with barely any
 	// true negatives.
 	d := corroborate.MotivatingExample()
-	run, err := corroborate.IncEstPS().RunDetailed(d)
+	run, err := corroborate.IncEstPS().RunDetailedWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestPaperHeadlineClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := w.Dataset
-	inc, err := corroborate.IncEstScale().Run(d)
+	inc, err := corroborate.IncEstScale().RunWith(context.Background(), d, corroborate.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestPaperHeadlineClaim(t *testing.T) {
 	for _, m := range []corroborate.Method{
 		corroborate.Voting(), corroborate.TwoEstimate(), corroborate.BayesEstimate(), corroborate.IncEstPS(),
 	} {
-		r, err := m.Run(d)
+		r, err := m.RunWith(context.Background(), d, corroborate.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
