@@ -56,7 +56,7 @@ lint-json:
 # tests; the equivalence and differential tests force the concurrent paths
 # even on one CPU.
 race:
-	$(GO) test -race ./internal/core/... ./internal/fault/... ./internal/engine/... ./internal/serve/... ./internal/pipeline/...
+	$(GO) test -race ./internal/core/... ./internal/fault/... ./internal/engine/... ./internal/serve/...
 	$(GO) test -race -run 'TestObserverRoundCount|TestCancellationPerMethod|TestPreCancelledContext' .
 	# The lazy-PQ ranking suite once more with -count=2: the second run
 	# re-ranks through warm pair/key caches, racing the cache maintenance
@@ -76,12 +76,12 @@ golden:
 check: fmt build vet lint test test-invariants race
 
 # bench-smoke compiles and single-steps every benchmark (-benchtime=1x,
-# -short skips the 200k-fact worlds): it proves the benchmarks still run —
+# -short skips the 200k-fact engine runs): it proves the benchmarks still run —
 # a broken world builder or a renamed headline benchmark fails CI instead
 # of being discovered when someone next profiles with them. No timing is
 # recorded; speed is measured by python3 perfbench/run.py (BENCHMARK.json).
 bench-smoke:
-	$(GO) test -run='^$$' -bench . -benchtime=1x -benchmem -short ./internal/core ./internal/score ./internal/entropy ./internal/truth ./internal/pipeline
+	$(GO) test -run='^$$' -bench . -benchtime=1x -benchmem -short ./internal/core ./internal/score ./internal/entropy ./internal/truth ./internal/serve
 
 # fuzz-smoke gives every fuzz target a short budget (FUZZTIME each) — enough
 # to catch regressions in the parsers and normalizers without tying up CI.

@@ -26,7 +26,6 @@ import (
 	"syscall"
 
 	"corroborate"
-	"corroborate/internal/pipeline"
 )
 
 func main() {
@@ -283,14 +282,16 @@ func runStream(paths []string, shards int, checkpointPath string, decay *float64
 		if err != nil {
 			return err
 		}
-		votes := pipeline.Collect(pipeline.Map(pipeline.FromDataset(d),
-			func(r pipeline.VoteRow) corroborate.BatchVote {
-				return corroborate.BatchVote{
-					Fact:   d.FactName(r.Fact),
-					Source: d.SourceName(r.Source),
-					Vote:   r.Vote,
-				}
-			}))
+		votes := make([]corroborate.BatchVote, 0, d.NumVotes())
+		for f := 0; f < d.NumFacts(); f++ {
+			for _, sv := range d.VotesOnFact(f) {
+				votes = append(votes, corroborate.BatchVote{
+					Fact:   d.FactName(f),
+					Source: d.SourceName(sv.Source),
+					Vote:   sv.Vote,
+				})
+			}
+		}
 		out, err := st.AddBatchContext(ctx, votes)
 		if err != nil {
 			if ctx.Err() != nil {

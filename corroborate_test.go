@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"corroborate"
@@ -62,8 +63,12 @@ func TestNewMethod(t *testing.T) {
 	if m.Name() != "IncEstHeu" {
 		t.Errorf("resolved %q", m.Name())
 	}
-	if _, err := corroborate.NewMethod("nope"); err == nil {
-		t.Error("unknown method must fail")
+	var names []string
+	for _, e := range corroborate.MethodInfos() {
+		names = append(names, e.Name)
+	}
+	if _, err := corroborate.NewMethod("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Errorf("unknown-method error must list what is available, got %v", err)
 	}
 }
 

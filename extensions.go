@@ -32,7 +32,7 @@ type (
 	// batch is rolled back atomically.
 	GroupPanicError = core.GroupPanicError
 	// CheckpointSink is the crash-safe, self-healing home of a stream
-	// checkpoint: fsync-before-rename saves with capped deterministic retry
+	// checkpoint: fsync-before-rename saves with deterministic retry
 	// backoff, per-batch log records appended between saves (Commit), and
 	// quarantine of corrupt checkpoints and logs on resume.
 	CheckpointSink = core.CheckpointSink

@@ -131,7 +131,6 @@ func (eng *engine) rankPositive(pos []*group, fgNeg *group) *group {
 	st := eng.state
 	credit := eng.posSavedCredit[:0]
 	count := eng.posSavedCount[:0]
-	//lint:ignore pipemat rollback snapshot into a reused scratch buffer; the hot ranking path must not allocate, which Collect would
 	for _, sv := range fgNeg.votes {
 		credit = append(credit, st.credit[sv.Source])
 		count = append(count, st.count[sv.Source])

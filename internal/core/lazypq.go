@@ -227,7 +227,6 @@ func (eng *engine) refreshRow(c, exclude *group, st *trustState, baseTrust, base
 		clear(row.gen)
 	}
 	saved := eng.savedTrust[:0]
-	//lint:ignore pipemat rollback snapshot into a reused scratch buffer; the hot ranking path must not allocate, which Collect would
 	for _, sv := range c.votes {
 		saved = append(saved, baseTrust[sv.Source])
 	}

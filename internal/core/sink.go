@@ -42,9 +42,9 @@ import (
 // when the log's tail is not a record this sink can append after.
 //
 // Transient write failures (a full disk draining, a flaky fsync) are
-// retried with capped deterministic exponential backoff: MaxRetries
-// retries after the first attempt, sleeping BaseDelay, 2·BaseDelay,
-// 4·BaseDelay, … capped at MaxDelay, through the injectable Sleeper.
+// retried with deterministic exponential backoff: saveRetries retries
+// after the first attempt, sleeping 10ms, 20ms and 40ms through the
+// injectable Sleeper.
 //
 // On resume, a base or log that fails decoding, checksum verification or
 // replay is quarantined together with its partner — renamed to
@@ -54,9 +54,8 @@ import (
 // quarantined bytes stay on disk for forensics.
 //
 // The zero value of every optional field selects production behaviour:
-// the real filesystem, the real clock, 3 retries, 10ms base delay. A sink
-// carries the log's state from call to call, so one goroutine at a time
-// may use it.
+// the real filesystem and the real clock. A sink carries the log's state
+// from call to call, so one goroutine at a time may use it.
 type CheckpointSink struct {
 	// Path is the checkpoint's durable location.
 	Path string
@@ -64,14 +63,6 @@ type CheckpointSink struct {
 	FS fault.FS
 	// Sleeper paces retry backoff; nil means the real clock.
 	Sleeper fault.Sleeper
-	// MaxRetries is how many times a failed save is retried after the
-	// first attempt; 0 means 3. Negative disables retries.
-	MaxRetries int
-	// BaseDelay is the first backoff delay, doubled per retry; 0 means
-	// 10ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff; 0 means 500ms.
-	MaxDelay time.Duration
 
 	// log is the open append handle, nil until the next append opens it.
 	log fault.File
@@ -129,29 +120,16 @@ func (s *CheckpointSink) sleeper() fault.Sleeper {
 	return fault.Std()
 }
 
-func (s *CheckpointSink) retries() int {
-	if s.MaxRetries == 0 {
-		return 3
-	}
-	if s.MaxRetries < 0 {
-		return 0
-	}
-	return s.MaxRetries
-}
-
-func (s *CheckpointSink) delays() (base, limit time.Duration) {
-	base, limit = s.BaseDelay, s.MaxDelay
-	if base == 0 {
-		base = 10 * time.Millisecond
-	}
-	if limit == 0 {
-		limit = 500 * time.Millisecond
-	}
-	return base, limit
-}
+// saveRetries is how many times a failed save is retried after the first
+// attempt; the first retry waits saveFirstDelay and each later one twice
+// the one before.
+const (
+	saveRetries    = 3
+	saveFirstDelay = 10 * time.Millisecond
+)
 
 // Save durably replaces the checkpoint with st's current state and resets
-// the log, retrying transient failures with capped exponential backoff.
+// the log, retrying transient failures with exponential backoff.
 // On return with nil error Path holds the full current checkpoint on
 // stable storage; on error the previous checkpoint (if any) is still
 // intact, or the new one is.
@@ -163,23 +141,20 @@ func (s *CheckpointSink) Save(st *Stream) error {
 	if err != nil {
 		return err
 	}
-	base, limit := s.delays()
-	delay := base
+	delay := saveFirstDelay
 	for attempt := 0; ; attempt++ {
 		err = s.saveOnce(data)
 		if err == nil {
 			s.compactions++
 			return nil
 		}
-		if attempt >= s.retries() {
+		if attempt == saveRetries {
 			break
 		}
 		s.sleeper().Sleep(delay)
-		if delay *= 2; delay > limit {
-			delay = limit
-		}
+		delay *= 2
 	}
-	return fmt.Errorf("core: checkpoint save failed after %d attempts: %w", s.retries()+1, err)
+	return fmt.Errorf("core: checkpoint save failed after %d attempts: %w", saveRetries+1, err)
 }
 
 // saveOnce runs one pass of the crash-consistency protocol, publishing

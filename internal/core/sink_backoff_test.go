@@ -10,15 +10,12 @@ import (
 	"corroborate/internal/fault"
 )
 
-// These tests pin the sink's DEFAULT backoff schedule — the one production
-// runs with when no field is set — through the injectable Sleeper. The
-// existing transient-fault battery exercises custom delays; here the exact
-// default sequence, the cap, and the give-up contract are the assertions.
+// These tests pin the sink's backoff schedule through the injectable
+// Sleeper: the exact sequence and the give-up contract are the assertions.
 
-// TestSinkDefaultBackoffSchedule: with every optional field zero, a
-// persistently failing save sleeps exactly 10ms, 20ms, 40ms (3 retries
-// after the first attempt) and then gives up with an error naming all 4
-// attempts.
+// TestSinkDefaultBackoffSchedule: a persistently failing save sleeps
+// exactly 10ms, 20ms, 40ms (3 retries after the first attempt) and then
+// gives up with an error naming all 4 attempts.
 func TestSinkDefaultBackoffSchedule(t *testing.T) {
 	batches, _ := sinkWorld(t)
 	st := NewShardedStream(3)
@@ -51,44 +48,9 @@ func TestSinkDefaultBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestSinkBackoffCapsAtMaxDelay: with enough retries the doubling schedule
-// must flatten at the 500ms default cap, not grow without bound.
-func TestSinkBackoffCapsAtMaxDelay(t *testing.T) {
-	batches, _ := sinkWorld(t)
-	st := NewShardedStream(3)
-	feed(t, st, batches[:1])
-
-	ifs := fault.NewInjectFS(fault.OS(), 1)
-	ifs.FailSyncs(1 << 30)
-	rec := fault.NewRecorder()
-	sink := &CheckpointSink{
-		Path: filepath.Join(t.TempDir(), "state.json"),
-		FS:   ifs, Sleeper: rec, MaxRetries: 8,
-	}
-
-	if err := sink.Save(st); err == nil {
-		t.Fatal("Save succeeded under a permanently failing fsync")
-	}
-	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		80 * time.Millisecond, 160 * time.Millisecond, 320 * time.Millisecond,
-		500 * time.Millisecond, 500 * time.Millisecond,
-	}
-	got := rec.Slept()
-	if len(got) != len(want) {
-		t.Fatalf("slept %d delays %v, want %d %v", len(got), got, len(want), want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v (full schedule %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
 // TestSinkGiveUpPreservesPreviousCheckpoint: exhausting retries must leave
 // the previous durable checkpoint fully intact — give-up degrades
-// freshness, never durability. Negative MaxRetries disables retries
-// entirely: one attempt, no sleeps.
+// freshness, never durability.
 func TestSinkGiveUpPreservesPreviousCheckpoint(t *testing.T) {
 	batches, _ := sinkWorld(t)
 	path := filepath.Join(t.TempDir(), "state.json")
@@ -104,13 +66,9 @@ func TestSinkGiveUpPreservesPreviousCheckpoint(t *testing.T) {
 	feed(t, st, batches[1:2])
 	ifs := fault.NewInjectFS(fault.OS(), 1)
 	ifs.FailSyncs(1 << 30)
-	rec := fault.NewRecorder()
-	bad := &CheckpointSink{Path: path, FS: ifs, Sleeper: rec, MaxRetries: -1}
+	bad := &CheckpointSink{Path: path, FS: ifs, Sleeper: fault.NewRecorder()}
 	if err := bad.Save(st); err == nil {
 		t.Fatal("Save succeeded under a permanently failing fsync")
-	}
-	if slept := rec.Slept(); len(slept) != 0 {
-		t.Fatalf("MaxRetries<0 slept %v, want no retries", slept)
 	}
 
 	// The batch-1 checkpoint written before the fault must still restore.

@@ -174,10 +174,7 @@ func TestSinkRetriesTransientFaults(t *testing.T) {
 		ifs := fault.NewInjectFS(fault.OS(), 9)
 		arm(ifs)
 		rec := fault.NewRecorder()
-		sink := &CheckpointSink{
-			Path: filepath.Join(dir, "state.json"), FS: ifs, Sleeper: rec,
-			BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond,
-		}
+		sink := &CheckpointSink{Path: filepath.Join(dir, "state.json"), FS: ifs, Sleeper: rec}
 		if err := sink.Save(st); err != nil {
 			t.Fatalf("%s: Save with transient faults: %v", name, err)
 		}
@@ -186,11 +183,7 @@ func TestSinkRetriesTransientFaults(t *testing.T) {
 			t.Fatalf("%s: no backoff recorded; fault never fired", name)
 		}
 		for i, d := range slept {
-			want := time.Millisecond << i
-			if want > 4*time.Millisecond {
-				want = 4 * time.Millisecond
-			}
-			if d != want {
+			if want := 10 * time.Millisecond << i; d != want {
 				t.Fatalf("%s: backoff[%d] = %v, want %v (schedule %v)", name, i, d, want, slept)
 			}
 		}
@@ -217,8 +210,7 @@ func TestSinkRetriesExhausted(t *testing.T) {
 
 	ifs := fault.NewInjectFS(fault.OS(), 2)
 	ifs.FailSyncs(100)
-	sink := &CheckpointSink{Path: path, FS: ifs, Sleeper: fault.NewRecorder(), MaxRetries: 2,
-		BaseDelay: time.Millisecond}
+	sink := &CheckpointSink{Path: path, FS: ifs, Sleeper: fault.NewRecorder()}
 	feed(t, st, batches[1:2])
 	if err := sink.Save(st); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Save = %v, want ErrInjected after exhausted retries", err)

@@ -21,9 +21,7 @@ type StreamSnapshot struct {
 }
 
 // EachFact iterates the decided-fact log in evaluation order, stopping
-// early when yield returns false. It is the serving layer's lazy read
-// hook: internal/pipeline sources a stream from it, so a query that stops
-// after k facts (top-k, first-match) never walks the rest of the log.
+// early when yield returns false.
 func (s *StreamSnapshot) EachFact(yield func(StreamFact) bool) {
 	for i := range s.Facts {
 		if !yield(s.Facts[i]) {

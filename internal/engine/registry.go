@@ -105,16 +105,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// New constructs the named method, or an error listing what is available.
-func (r *Registry) New(name string) (Method, error) {
-	e, ok := r.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown method %q (available: %s)",
-			name, strings.Join(r.Names(), ", "))
-	}
-	return e.New(), nil
-}
-
 // Methods constructs every registered method in presentation order.
 func (r *Registry) Methods() []Method {
 	out := make([]Method, len(r.entries))

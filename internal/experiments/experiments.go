@@ -26,7 +26,6 @@ import (
 	"corroborate/internal/hubdub"
 	"corroborate/internal/metrics"
 	"corroborate/internal/ml"
-	"corroborate/internal/pipeline"
 	"corroborate/internal/restaurant"
 	"corroborate/internal/synth"
 	"corroborate/internal/truth"
@@ -373,24 +372,28 @@ func Table5(o Options) (*Table, error) {
 }
 
 // trustFromPredictions computes per-source trust as the share of each
-// source's golden-set votes that agree with the result's predictions: per
-// source, the posting list ⋈ golden set, aggregated into agree/total.
+// source's golden-set votes that agree with the result's predictions.
 func trustFromPredictions(d *truth.Dataset, r *truth.Result) []float64 {
-	type tally struct{ agree, total int }
+	golden := make([]bool, d.NumFacts())
+	d.EachGolden(func(f int) bool {
+		golden[f] = true
+		return true
+	})
 	trust := make([]float64, d.NumSources())
-	for s := 0; s < d.NumSources(); s++ {
-		onGolden := pipeline.JoinGolden(d, pipeline.FromSourceVotes(d, s),
-			func(fv truth.FactVote) int { return fv.Fact })
-		c := pipeline.Aggregate(onGolden, tally{}, func(c tally, j pipeline.Joined[truth.FactVote]) tally {
-			c.total++
-			pred := r.Predictions[j.Row.Fact]
-			if (j.Row.Vote == truth.Affirm && pred == truth.True) || (j.Row.Vote == truth.Deny && pred == truth.False) {
-				c.agree++
+	for s := range trust {
+		agree, total := 0, 0
+		for _, fv := range d.VotesBySource(s) {
+			if !golden[fv.Fact] {
+				continue
 			}
-			return c
-		})
-		if c.total > 0 {
-			trust[s] = float64(c.agree) / float64(c.total)
+			total++
+			pred := r.Predictions[fv.Fact]
+			if (fv.Vote == truth.Affirm && pred == truth.True) || (fv.Vote == truth.Deny && pred == truth.False) {
+				agree++
+			}
+		}
+		if total > 0 {
+			trust[s] = float64(agree) / float64(total)
 		} else {
 			trust[s] = 0.5
 		}
@@ -490,16 +493,13 @@ func Figure2(o Options) (*Table, error) {
 		if step == 0 {
 			step = 1
 		}
-		// Sample the trajectory lazily: Stride touches only the rendered
-		// time points, it never copies the trajectory.
-		pipeline.Stride(pipeline.Range(n), step)(func(i int) bool {
+		for i := 0; i < n; i += step {
 			row := []string{e.Name(), fmt.Sprintf("%d", i)}
 			for s := range names {
 				row = append(row, fmtF(run.Trajectory[i].Trust[s]))
 			}
 			t.Rows = append(t.Rows, row)
-			return true
-		})
+		}
 	}
 	return t, nil
 }

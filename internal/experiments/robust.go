@@ -11,7 +11,6 @@ import (
 	"corroborate/internal/depend"
 	"corroborate/internal/engine"
 	"corroborate/internal/ml"
-	"corroborate/internal/pipeline"
 	"corroborate/internal/synth"
 	"corroborate/internal/truth"
 )
@@ -124,50 +123,38 @@ func (o Options) robustnessScenario(fraction float64, batches int) (*synth.Scena
 }
 
 // streamAccuracy replays the scenario through a decayed or undecayed
-// sharded stream and scores the at-arrival decisions against the ground
-// truth. The replay is an operator composition: the scenario's flattened
-// vote stream, windowed back into its batches at the batch boundaries,
-// each window mapped into the stream's ingest form and its decisions
-// aggregated into the running score — no per-batch intermediate beyond
-// the one window in flight.
+// sharded stream, batch by batch, and scores the at-arrival decisions
+// against the ground truth.
 func streamAccuracy(w *synth.ScenarioWorld, decay float64) (float64, error) {
 	st := core.NewShardedStream(4)
 	if err := st.SetTrustDecay(decay); err != nil {
 		return 0, err
 	}
-	type score struct {
-		right, total int
-	}
-	var sc score
-	var err error
-	batches := pipeline.KeyWindows(pipeline.FromScenario(w),
-		func(r pipeline.ScenarioRow) int { return r.Batch })
-	batches(func(win []pipeline.ScenarioRow) bool {
-		votes := pipeline.Collect(pipeline.Map(pipeline.FromSlice(win),
-			func(r pipeline.ScenarioRow) core.BatchVote {
-				return core.BatchVote{Fact: r.Vote.Fact, Source: r.Vote.Source, Vote: r.Vote.Vote}
-			}))
-		out, aerr := st.AddBatch(votes)
-		if aerr != nil {
-			err = fmt.Errorf("batch %d: %w", win[0].Batch, aerr)
-			return false
+	right, total := 0, 0
+	for b := range w.Batches {
+		batch := w.Batches[b].Votes
+		if len(batch) == 0 {
+			continue // a stream refuses an empty batch
 		}
-		sc = pipeline.Aggregate(pipeline.FromSlice(out), sc, func(s score, sf core.StreamFact) score {
-			s.total++
+		votes := make([]core.BatchVote, len(batch))
+		for i, v := range batch {
+			votes[i] = core.BatchVote{Fact: v.Fact, Source: v.Source, Vote: v.Vote}
+		}
+		out, err := st.AddBatch(votes)
+		if err != nil {
+			return 0, fmt.Errorf("batch %d: %w", b, err)
+		}
+		for _, sf := range out {
+			total++
 			if (sf.Prediction == truth.True) == (w.Truth[sf.Name] == truth.True) {
-				s.right++
+				right++
 			}
-			return s
-		})
-		return true
-	})
-	if err != nil {
-		return 0, err
+		}
 	}
-	if sc.total == 0 {
+	if total == 0 {
 		return 0, fmt.Errorf("stream decided no facts")
 	}
-	return float64(sc.right) / float64(sc.total), nil
+	return float64(right) / float64(total), nil
 }
 
 // RobustnessGrid computes the full accuracy-under-attack grid: every

@@ -138,7 +138,6 @@ func Analyzers() []*Analyzer {
 		GoNoSync,
 		CloseCheck,
 		LoopDriver,
-		PipeMat,
 		DetFlow,
 		CtxLoop,
 		SharedMutate,

@@ -29,7 +29,6 @@ func TestAnalyzerGolden(t *testing.T) {
 		{dir: "gonosync", analyzers: "gonosync"},
 		{dir: "closecheck", analyzers: "closecheck"},
 		{dir: "loopdriver", analyzers: "loopdriver"},
-		{dir: "pipemat", analyzers: "pipemat"},
 		{dir: "detflow", analyzers: "detflow"},
 		{dir: "ctxloop", analyzers: "ctxloop"},
 		{dir: "sharedmutate", analyzers: "sharedmutate"},

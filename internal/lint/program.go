@@ -18,7 +18,7 @@ import (
 // view over the already-loaded packages: one node per function declaration
 // or function literal, call edges resolved through go/types (including
 // function values passed as callbacks, the engine.Iterate / shard worker /
-// pipeline shape), and per-function summaries computed to a fixpoint.
+// push-iterator shape), and per-function summaries computed to a fixpoint.
 //
 // Everything is deliberately conservative and stdlib-only. Unresolvable
 // calls (interface dynamics, function-typed variables) simply contribute no
@@ -415,7 +415,7 @@ func isContextType(t types.Type) bool {
 // scanCalls records every call site directly inside a node's body with its
 // resolution and argument bindings. Callback arguments — function values
 // handed to another call, the engine.Iterate / stream shard worker /
-// pipeline shape — get their own synthetic edge so the callback's behavior
+// push-iterator shape — get their own synthetic edge so the callback's behavior
 // propagates to the caller that will (indirectly) run it.
 func (p *Program) scanCalls(n *funcNode) []callSite {
 	info := n.pkg.Info

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"corroborate/internal/pipeline"
 	"corroborate/internal/truth"
 )
 
@@ -68,27 +67,30 @@ func (c Confusion) String() string {
 
 // Confuse builds the confusion matrix of a result over the dataset's golden
 // evaluation set (falling back to all labeled facts, per Dataset.Golden).
-// It is an operator aggregation — σ(labeled) then γ(count) over the golden
-// stream — so it allocates O(1) regardless of golden-set size (an
-// AllocsPerRun ceiling in metrics_test.go keeps it that way).
+// It walks the golden set through Dataset.EachGolden, so it allocates O(1)
+// regardless of golden-set size (an AllocsPerRun ceiling in
+// metrics_test.go keeps it that way).
 func Confuse(d *truth.Dataset, r *truth.Result) Confusion {
-	labeled := pipeline.Filter(pipeline.FromGolden(d), func(g pipeline.GoldenFact) bool {
-		return g.Label != truth.Unknown
-	})
-	return pipeline.Aggregate(labeled, Confusion{}, func(c Confusion, g pipeline.GoldenFact) Confusion {
-		pred := r.Predictions[g.Fact]
+	var c Confusion
+	d.EachGolden(func(f int) bool {
+		label := d.Label(f)
+		if label == truth.Unknown {
+			return true
+		}
+		pred := r.Predictions[f]
 		switch {
-		case g.Label == truth.True && pred == truth.True:
+		case label == truth.True && pred == truth.True:
 			c.TP++
-		case g.Label == truth.True && pred == truth.False:
+		case label == truth.True && pred == truth.False:
 			c.FN++
-		case g.Label == truth.False && pred == truth.True:
+		case label == truth.False && pred == truth.True:
 			c.FP++
-		case g.Label == truth.False && pred == truth.False:
+		case label == truth.False && pred == truth.False:
 			c.TN++
 		}
-		return c
+		return true
 	})
+	return c
 }
 
 // Report bundles the four headline numbers of Table 4 for one method.
@@ -124,24 +126,18 @@ func TrustMSE(reference, estimated []float64) float64 {
 	if len(reference) != len(estimated) {
 		panic(fmt.Sprintf("metrics: %d reference trust scores vs %d estimated", len(reference), len(estimated)))
 	}
-	// σ(reference defined) then γ(sum, count) over the index stream: the
-	// summation order is the index order, exactly as the hand-rolled loop
-	// summed, so the float result is bit-identical.
-	scored := pipeline.Filter(pipeline.Range(len(reference)), func(i int) bool {
-		return !math.IsNaN(reference[i])
-	})
-	type acc struct {
-		sum float64
-		n   int
+	var sum float64
+	n := 0
+	for i, ref := range reference {
+		if math.IsNaN(ref) {
+			continue
+		}
+		diff := ref - estimated[i]
+		sum += diff * diff
+		n++
 	}
-	a := pipeline.Aggregate(scored, acc{}, func(a acc, i int) acc {
-		diff := reference[i] - estimated[i]
-		a.sum += diff * diff
-		a.n++
-		return a
-	})
-	if a.n == 0 {
+	if n == 0 {
 		return 0
 	}
-	return a.sum / float64(a.n)
+	return sum / float64(n)
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"corroborate/internal/core"
-	"corroborate/internal/pipeline"
 	"corroborate/internal/truth"
 )
 
@@ -27,7 +26,7 @@ func newQueryParams() queryParams {
 	return queryParams{batch: -1, limit: -1}
 }
 
-// filtered reports whether any selector is active (σ needed at all).
+// filtered reports whether any selector is active.
 func (p queryParams) filtered() bool {
 	return p.fact != "" || p.prefix != "" || p.batch >= 0 || p.prediction != truth.Unknown
 }
@@ -99,7 +98,7 @@ func parseQueryParams(q url.Values) (queryParams, error) {
 	return p, nil
 }
 
-// matches is the σ predicate of one query over the decided-fact stream.
+// matches reports whether a decided fact passes every active selector.
 func (p queryParams) matches(f core.StreamFact) bool {
 	if p.fact != "" && f.Name != p.fact {
 		return false
@@ -116,21 +115,117 @@ func (p queryParams) matches(f core.StreamFact) bool {
 	return true
 }
 
-// evalQuery evaluates one parsed query lazily over the snapshot: one pass
-// over the decided-fact log through the snapshot's iteration hook, with
-// the selectors as σ operators and the shape as the terminal. Memory is
-// O(page) for pagination and O(k) for top-k — never a copy of the matched
-// set, let alone the log (alloc ceilings in query_test.go pin this).
+// evalQuery evaluates one parsed query in one pass over the snapshot's
+// decided-fact log: the selectors filter each fact, total counts every
+// match, and the shape keeps either the page [offset, offset+limit) or
+// the top k by probability in a bounded heap. Memory is O(page) or O(k),
+// never a copy of the matched set, let alone the log (alloc ceilings in
+// query_test.go pin this).
 func evalQuery(snap *core.StreamSnapshot, p queryParams) (total int, facts []core.StreamFact) {
-	seq := pipeline.FromFunc[core.StreamFact](snap.EachFact)
-	if p.filtered() {
-		seq = pipeline.Filter(seq, p.matches)
+	filtered := p.filtered()
+	var top topFacts
+	if p.top > 0 {
+		// The heap never holds more than the log, whatever top asks for.
+		top = topFacts{k: p.top, heap: make([]rankedFact, 0, min(p.top, len(snap.Facts)))}
+	}
+	for _, f := range snap.Facts {
+		if filtered && !p.matches(f) {
+			continue
+		}
+		if p.top > 0 {
+			top.push(rankedFact{f: f, ord: total})
+		} else if total >= p.offset && (p.limit < 0 || len(facts) < p.limit) {
+			facts = append(facts, f)
+		}
+		total++
 	}
 	if p.top > 0 {
-		facts, total = pipeline.TopK(seq, p.top, func(a, b core.StreamFact) bool {
-			return a.Probability > b.Probability
-		})
-		return total, facts
+		return total, top.drain()
 	}
-	return pipeline.Page(seq, p.offset, p.limit)
+	return total, facts
+}
+
+// rankedFact is a top-k candidate: a matched fact and its match ordinal.
+type rankedFact struct {
+	f   core.StreamFact
+	ord int
+}
+
+// worse reports whether a ranks strictly below b: b has the higher
+// probability, or neither is higher and a arrived later. Both comparisons
+// are >, so values that do not compare (NaN) tie and keep arrival order.
+func (a rankedFact) worse(b rankedFact) bool {
+	if a.f.Probability > b.f.Probability {
+		return false
+	}
+	if b.f.Probability > a.f.Probability {
+		return true
+	}
+	return a.ord > b.ord
+}
+
+// topFacts selects the k highest-probability facts of a stream, as if the
+// stream were stably sorted by probability, descending, and truncated to
+// k: ties keep arrival order. It is a bounded min-heap with the worst
+// survivor at the root, so a better newcomer evicts it: O(k) memory and
+// O(n log k) time over n facts.
+type topFacts struct {
+	k    int
+	heap []rankedFact
+}
+
+// push offers one candidate to the heap.
+func (t *topFacts) push(e rankedFact) {
+	if len(t.heap) < t.k {
+		t.heap = append(t.heap, e)
+		t.siftUp(len(t.heap) - 1)
+		return
+	}
+	if e.worse(t.heap[0]) {
+		return // does not beat the current worst
+	}
+	t.heap[0] = e
+	t.siftDown(0)
+}
+
+func (t *topFacts) siftUp(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.heap[i].worse(t.heap[p]) {
+			return
+		}
+		t.heap[i], t.heap[p] = t.heap[p], t.heap[i]
+		i = p
+	}
+}
+
+func (t *topFacts) siftDown(i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < len(t.heap) && t.heap[l].worse(t.heap[least]) {
+			least = l
+		}
+		if r < len(t.heap) && t.heap[r].worse(t.heap[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		t.heap[i], t.heap[least] = t.heap[least], t.heap[i]
+		i = least
+	}
+}
+
+// drain empties the heap worst-first into the tail of the result, leaving
+// the survivors in rank order (ties in arrival order).
+func (t *topFacts) drain() []core.StreamFact {
+	out := make([]core.StreamFact, len(t.heap))
+	for n := len(t.heap); n > 0; n-- {
+		out[n-1] = t.heap[0].f
+		t.heap[0] = t.heap[n-1]
+		t.heap = t.heap[:n-1]
+		t.siftDown(0)
+	}
+	return out
 }

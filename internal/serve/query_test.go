@@ -105,6 +105,9 @@ func TestEvalQueryMatchesMaterializedReference(t *testing.T) {
 		"top=7",
 		"top=7&prediction=false",
 		"top=100000",
+		// A top far beyond the log must not size the heap by top: 2³¹
+		// entries is an allocation the process cannot survive.
+		"top=2147483648",
 	}
 	for _, raw := range cases {
 		q, _ := url.ParseQuery(raw)
@@ -271,6 +274,28 @@ func TestEvalQueryAllocationCeiling(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Errorf("10-fact page of 200k facts: %.0f allocs/run, ceiling 64", allocs)
+	}
+}
+
+// BenchmarkEvalQuery times the two /query shapes over a 200k-fact
+// snapshot: top-k by probability, and a filtered 10-fact page deep into
+// the log. allocs/op must stay O(result), not O(log).
+func BenchmarkEvalQuery(b *testing.B) {
+	snap := syntheticSnapshot(200_000)
+	for _, raw := range []string{"top=10", "prediction=true&offset=50000&limit=10"} {
+		q, _ := url.ParseQuery(raw)
+		p, err := parseQueryParams(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(raw, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if total, facts := evalQuery(snap, p); total == 0 || len(facts) != 10 {
+					b.Fatalf("saw total=%d len=%d", total, len(facts))
+				}
+			}
+		})
 	}
 }
 

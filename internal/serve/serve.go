@@ -24,7 +24,7 @@
 //     acknowledged path, writes a final checkpoint per tenant, and only
 //     then exits — so a drained data directory restarts byte-identically.
 //   - Degradation ladder: a failed log append retries as a full
-//     checkpoint, and transient checkpoint failures with capped backoff,
+//     checkpoint, and transient checkpoint failures with bounded backoff,
 //     inside the sink; persistent failure flips the tenant
 //     read-only (queries keep serving from memory) instead of either
 //     crashing the daemon or acknowledging undurable writes.

@@ -104,7 +104,7 @@ type jobResult struct {
 //
 // Degradation ladder, outermost rung first: a failed log append is
 // retried as a full checkpoint, and transient checkpoint failures with
-// capped exponential backoff, inside the sink; an exhausted commit fails
+// exponential backoff, inside the sink; an exhausted commit fails
 // that one ingest (shed load — the client retries, no false
 // acknowledgment); ReadOnlyAfter consecutive exhausted commits flip the
 // world read-only — ingest refused, queries still served — because

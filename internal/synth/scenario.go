@@ -537,20 +537,6 @@ func (w *ScenarioWorld) Dataset() *truth.Dataset {
 	return b.Build()
 }
 
-// BatchDataset flattens one batch into a labeled dataset.
-func (w *ScenarioWorld) BatchDataset(i int) *truth.Dataset {
-	b := truth.NewBuilder()
-	batch := &w.Batches[i]
-	for _, name := range batch.Facts {
-		f := b.Fact(name)
-		b.Label(f, w.Truth[name])
-	}
-	for _, v := range batch.Votes {
-		b.Vote(b.Fact(v.Fact), b.Source(v.Source), v.Vote)
-	}
-	return b.Build()
-}
-
 // CopierPairs returns the ground-truth (copier, leader) name pairs of batch
 // i, sorted by copier name — the positives internal/depend's detection
 // tests must recover.

@@ -457,27 +457,30 @@ func TestCopierPairsSorted(t *testing.T) {
 	}
 }
 
-// TestScenarioBatchDataset: per-batch datasets carry exactly the batch's
-// facts with labels.
+// TestScenarioBatchDataset: each batch carries exactly its own facts, every
+// one labeled and named for its batch, and its votes name only those facts.
 func TestScenarioBatchDataset(t *testing.T) {
 	w, err := GenerateScenario(ScenarioConfig{Batches: 3, FactsPerBatch: 25, HonestSources: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Batches {
-		d := w.BatchDataset(i)
-		if d.NumFacts() != 25 {
-			t.Fatalf("batch %d dataset has %d facts", i, d.NumFacts())
+	for i, b := range w.Batches {
+		if len(b.Facts) != 25 {
+			t.Fatalf("batch %d has %d facts", i, len(b.Facts))
 		}
-		if err := d.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		for f := 0; f < d.NumFacts(); f++ {
-			if d.Label(f) == truth.Unknown {
-				t.Fatalf("batch %d fact %s unlabeled", i, d.FactName(f))
+		inBatch := make(map[string]bool, len(b.Facts))
+		for _, f := range b.Facts {
+			if w.Truth[f] == truth.Unknown {
+				t.Fatalf("batch %d fact %s unlabeled", i, f)
 			}
-			if fmt.Sprintf("b%03d", i) != d.FactName(f)[:4] {
-				t.Fatalf("batch %d contains foreign fact %s", i, d.FactName(f))
+			if !strings.HasPrefix(f, fmt.Sprintf("b%03d", i)) {
+				t.Fatalf("batch %d contains foreign fact %s", i, f)
+			}
+			inBatch[f] = true
+		}
+		for _, v := range b.Votes {
+			if !inBatch[v.Fact] {
+				t.Fatalf("batch %d: vote names foreign fact %s", i, v.Fact)
 			}
 		}
 	}

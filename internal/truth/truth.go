@@ -272,8 +272,8 @@ func (d *Dataset) HasGolden() bool { return d.golden != nil }
 
 // EachGolden iterates the evaluation subset in the order Golden returns it,
 // without allocating the copy Golden makes, stopping early when yield
-// returns false. It is the allocation-free hook the pipeline layer's
-// golden source and join build on.
+// returns false. The golden-set scores (metrics.Confuse) walk it so that
+// they allocate nothing per fact.
 func (d *Dataset) EachGolden(yield func(f int) bool) {
 	if d.golden != nil {
 		for _, f := range d.golden {
