@@ -117,23 +117,24 @@ func TestAllMethodsSurviveAdversarialShapes(t *testing.T) {
 }
 
 func TestIncrementalVariantsSurviveAdversarialShapes(t *testing.T) {
-	variants := []*corroborate.IncEstimate{
-		corroborate.IncEstHeu(),
-		corroborate.IncEstPS(),
-		corroborate.IncEstScale(),
-		{SoftAbsorb: true},
-		{AnchoredTrust: true},
-		{FlipDeltaH: true},
-		{FullGroups: true},
-		{CandidateCap: 2},
-		{MaxRounds: 1},
-		{DeferBand: 0.3},
+	variants := []struct {
+		e    *corroborate.IncEstimate
+		opts corroborate.RunOptions
+	}{
+		{e: corroborate.IncEstHeu()},
+		{e: corroborate.IncEstPS()},
+		{e: corroborate.IncEstScale()},
+		{e: &corroborate.IncEstimate{SoftAbsorb: true}},
+		{e: &corroborate.IncEstimate{FlipDeltaH: true}},
+		{e: &corroborate.IncEstimate{FullGroups: true}},
+		{e: corroborate.IncEstHeu(), opts: corroborate.RunOptions{MaxIter: corroborate.OptInt(1)}},
+		{e: &corroborate.IncEstimate{DeferBand: 0.3}},
 	}
 	for name, d := range adversarialDatasets() {
 		d := d
 		t.Run(name, func(t *testing.T) {
-			for i, e := range variants {
-				run, err := e.RunDetailedWith(context.Background(), d, corroborate.RunOptions{})
+			for i, v := range variants {
+				run, err := v.e.RunDetailedWith(context.Background(), d, v.opts)
 				if err != nil {
 					t.Errorf("variant %d on %q: %v", i, name, err)
 					continue

@@ -57,15 +57,12 @@ type checkpointState struct {
 }
 
 type checkpointConfig struct {
-	Strategy      string  `json:"strategy"`
-	InitialTrust  float64 `json:"initial_trust,omitempty"`
-	MaxRounds     int     `json:"max_rounds,omitempty"`
-	CandidateCap  int     `json:"candidate_cap,omitempty"`
-	FullGroups    bool    `json:"full_groups,omitempty"`
-	FlipDeltaH    bool    `json:"flip_delta_h,omitempty"`
-	SoftAbsorb    bool    `json:"soft_absorb,omitempty"`
-	AnchoredTrust bool    `json:"anchored_trust,omitempty"`
-	DeferBand     float64 `json:"defer_band,omitempty"`
+	Strategy     string  `json:"strategy"`
+	InitialTrust float64 `json:"initial_trust,omitempty"`
+	FullGroups   bool    `json:"full_groups,omitempty"`
+	FlipDeltaH   bool    `json:"flip_delta_h,omitempty"`
+	SoftAbsorb   bool    `json:"soft_absorb,omitempty"`
+	DeferBand    float64 `json:"defer_band,omitempty"`
 }
 
 // Source and fact names are arbitrary byte strings (the symbol table
@@ -152,12 +149,9 @@ func (st *Stream) encode() ([]byte, error) {
 	w.raw(`{"config":{"strategy":`)
 	w.str(c.Strategy.String())
 	optFloat(&w, `,"initial_trust":`, c.InitialTrust)
-	optInt(&w, `,"max_rounds":`, c.MaxRounds)
-	optInt(&w, `,"candidate_cap":`, c.CandidateCap)
 	optTrue(&w, `,"full_groups":true`, c.FullGroups)
 	optTrue(&w, `,"flip_delta_h":true`, c.FlipDeltaH)
 	optTrue(&w, `,"soft_absorb":true`, c.SoftAbsorb)
-	optTrue(&w, `,"anchored_trust":true`, c.AnchoredTrust)
 	optFloat(&w, `,"defer_band":`, c.DeferBand)
 	w.raw("}")
 	if st.initDone {
@@ -230,19 +224,12 @@ func (st *Stream) checkpointSizeHint() int {
 	return n
 }
 
-// optFloat, optInt and optTrue write an omitempty field — key holds its
-// leading comma and name — when its value is not the zero value.
+// optFloat and optTrue write an omitempty field — key holds its leading
+// comma and name — when its value is not the zero value.
 func optFloat(w *jsonWriter, key string, f float64) {
 	if f != 0 {
 		w.raw(key)
 		w.float(f)
-	}
-}
-
-func optInt(w *jsonWriter, key string, n int) {
-	if n != 0 {
-		w.raw(key)
-		w.int(n)
 	}
 }
 
@@ -430,17 +417,11 @@ func (r *jsonReader) config(c *checkpointConfig) error {
 		case 1:
 			return r.float(&c.InitialTrust)
 		case 2:
-			return r.int(&c.MaxRounds)
-		case 3:
-			return r.int(&c.CandidateCap)
-		case 4:
 			return r.bool(&c.FullGroups)
-		case 5:
+		case 3:
 			return r.bool(&c.FlipDeltaH)
-		case 6:
+		case 4:
 			return r.bool(&c.SoftAbsorb)
-		case 7:
-			return r.bool(&c.AnchoredTrust)
 		}
 		return r.float(&c.DeferBand)
 	})
@@ -485,15 +466,12 @@ func (c *checkpointConfig) estimate() (IncEstimate, error) {
 		return IncEstimate{}, err
 	}
 	return IncEstimate{
-		Strategy:      strategy,
-		InitialTrust:  c.InitialTrust,
-		MaxRounds:     c.MaxRounds,
-		CandidateCap:  c.CandidateCap,
-		FullGroups:    c.FullGroups,
-		FlipDeltaH:    c.FlipDeltaH,
-		SoftAbsorb:    c.SoftAbsorb,
-		AnchoredTrust: c.AnchoredTrust,
-		DeferBand:     c.DeferBand,
+		Strategy:     strategy,
+		InitialTrust: c.InitialTrust,
+		FullGroups:   c.FullGroups,
+		FlipDeltaH:   c.FlipDeltaH,
+		SoftAbsorb:   c.SoftAbsorb,
+		DeferBand:    c.DeferBand,
 	}, nil
 }
 

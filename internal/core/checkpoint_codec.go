@@ -16,9 +16,9 @@ import (
 //
 // Checkpoints and log records are JSON whose bytes are pinned: a restored
 // stream must checkpoint to exactly the bytes the uninterrupted stream
-// writes, and every checkpoint written so far must keep restoring. The
-// codec here reads and writes that JSON in one pass over one buffer,
-// without reflection:
+// writes, and every checkpoint this repository's programs have written
+// must keep restoring. The codec here reads and writes that JSON in one
+// pass over one buffer, without reflection:
 //
 //   - jsonWriter writes exactly what encoding/json.Marshal writes for the
 //     checkpoint types: compact, keys in struct order, omitempty as
@@ -41,8 +41,8 @@ import (
 var (
 	envelopeKeys = []string{"format", "version", "checksum", "state"}
 	stateKeys    = []string{"config", "default_trust", "trust_decay", "sources", "decided"}
-	configKeys   = []string{"strategy", "initial_trust", "max_rounds", "candidate_cap", "full_groups",
-		"flip_delta_h", "soft_absorb", "anchored_trust", "defer_band"}
+	configKeys   = []string{"strategy", "initial_trust", "full_groups",
+		"flip_delta_h", "soft_absorb", "defer_band"}
 	sourceKeys  = []string{"name", "name_b64", "credit", "count", "count_f"}
 	factKeys    = []string{"name", "name_b64", "batch", "probability", "prediction"}
 	recordKeys  = []string{"batch", "new", "moved", "decided"}

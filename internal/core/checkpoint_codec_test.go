@@ -60,8 +60,8 @@ func TestCodecWritesOracleBytes(t *testing.T) {
 
 		st.mu.Lock()
 		st.Config.InitialTrust, st.Config.DeferBand = 1e-7, 1e-6
-		st.Config.MaxRounds, st.Config.CandidateCap = -3, math.MaxInt
-		st.Config.FullGroups, st.Config.AnchoredTrust = true, true
+		st.Config.FullGroups = true
+		st.state.count[0], st.state.count[1] = -3, math.MaxInt
 		for i, f := range boundaryFloats {
 			st.state.credit[i%len(st.state.credit)] = f
 			if st.state.fcount != nil {
@@ -222,10 +222,10 @@ var codecAcceptStates = []string{
 	// Labels as truth.ParseLabel reads them.
 	`{"decided":[{"prediction":"T"},{"prediction":" FALSE "},{"prediction":"-"},{"prediction":""},{"prediction":"unknown"}]}`,
 	// Numbers at the grammar's edges.
-	`{"default_trust":-0,"trust_decay":1E+2,"config":{"max_rounds":-0,"candidate_cap":9223372036854775807,"initial_trust":4.9e-324,"defer_band":1.7976931348623157e308}}`,
+	`{"default_trust":-0,"trust_decay":1E+2,"config":{"initial_trust":4.9e-324,"defer_band":1.7976931348623157e308},"decided":[{"batch":-0},{"batch":9223372036854775807}]}`,
 	`{"sources":[{"credit":1e-400,"count":-9223372036854775808,"count_f":0.1e1}]}`,
 	// Bools are literals.
-	`{"config":{"soft_absorb":false,"flip_delta_h":true,"anchored_trust":null}}`,
+	`{"config":{"soft_absorb":false,"flip_delta_h":true,"full_groups":null}}`,
 	// Raw U+2028 and U+FFFD are valid UTF-8.
 	"{\"sources\":[{\"name\":\"a\u2028b\ufffd\"}]}",
 }
@@ -249,6 +249,7 @@ var codecRefusedStates = []string{
 	`{"config":[]}`,
 	`{"config":{"full_groups":1}}`,
 	`{"config":{"full_groups":"true"}}`,
+	`{"config":{"max_rounds":-0,"candidate_cap":9223372036854775807,"anchored_trust":null}}`,
 	`{"decided":[{"prediction":"maybe"}]}`,
 	`{"decided":[{"prediction":true}]}`,
 	`{"decided":[{"name":"tab	raw"}]}`,

@@ -33,15 +33,12 @@ func oracleCheckpoint(st *Stream) ([]byte, error) {
 	defer st.mu.Unlock()
 	cs := checkpointState{
 		Config: checkpointConfig{
-			Strategy:      st.Config.Strategy.String(),
-			InitialTrust:  st.Config.InitialTrust,
-			MaxRounds:     st.Config.MaxRounds,
-			CandidateCap:  st.Config.CandidateCap,
-			FullGroups:    st.Config.FullGroups,
-			FlipDeltaH:    st.Config.FlipDeltaH,
-			SoftAbsorb:    st.Config.SoftAbsorb,
-			AnchoredTrust: st.Config.AnchoredTrust,
-			DeferBand:     st.Config.DeferBand,
+			Strategy:     st.Config.Strategy.String(),
+			InitialTrust: st.Config.InitialTrust,
+			FullGroups:   st.Config.FullGroups,
+			FlipDeltaH:   st.Config.FlipDeltaH,
+			SoftAbsorb:   st.Config.SoftAbsorb,
+			DeferBand:    st.Config.DeferBand,
 		},
 	}
 	if st.initDone {

@@ -96,9 +96,8 @@ func TestCheckpointContinuationIdentity(t *testing.T) {
 func TestCheckpointPreservesConfig(t *testing.T) {
 	st := NewShardedStream(1)
 	st.Config = IncEstimate{
-		Strategy: SelectHeu, InitialTrust: 0.7, MaxRounds: 9, CandidateCap: 3,
-		FullGroups: true, FlipDeltaH: true, SoftAbsorb: true,
-		AnchoredTrust: true, DeferBand: 0.25,
+		Strategy: SelectHeu, InitialTrust: 0.7,
+		FullGroups: true, FlipDeltaH: true, SoftAbsorb: true, DeferBand: 0.25,
 	}
 	feed(t, st, splitByFact(randomDataset(21, 4, 30), 2))
 	restored, err := RestoreShardedStream(bytes.NewReader(checkpointBytes(t, st)), 1)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"corroborate/internal/entropy"
-	"corroborate/internal/invariant"
 	"corroborate/internal/score"
 )
 
@@ -66,35 +65,6 @@ func (eng *engine) buildPosBaseline(fgNeg *group, afterTrust []float64) {
 		eng.posSavedH = append(eng.posSavedH, eng.baseH[ord])
 		eng.baseH[ord] = entropy.H(score.Corrob(other.votes, afterTrust))
 	}
-}
-
-// scoreDeltaH computes Eq. 9 for one candidate group against the base
-// state/trust, visiting only the groups that share a source with the
-// candidate (via the inverted index). For every skipped group the projected
-// trust equals the base trust bitwise, so its entropy delta is exactly zero
-// and the sum is unchanged; visited neighbors are accumulated in ascending
-// ordinal order — the iteration order of the reference implementation — so
-// the floating-point sum is bit-identical to the naive full scan.
-//
-// The candidate's hypothetical outcome comes from the cached round-start
-// probability (outcomeTrust == the round's σi(S) in every caller).
-func (eng *engine) scoreDeltaH(g, exclude *group, st *trustState, baseTrust, baseH []float64, scratch *rankScratch) float64 {
-	outcome := score.Normalize(eng.probs[g.ord])
-	projected := scratch.trust
-	copy(projected, baseTrust)
-	st.projectInto(g.votes, outcome, g.size(), projected)
-
-	var sum float64
-	for _, ord := range eng.neighbors(g, scratch) {
-		other := eng.groups[ord]
-		if other == g || other == exclude || other.size() == 0 {
-			continue
-		}
-		after := entropy.H(score.Corrob(other.votes, projected))
-		sum += float64(other.size()) * (after - baseH[ord])
-	}
-	invariant.Finite("∆H score", sum)
-	return sum
 }
 
 // extreme returns the live candidate with the highest (hi) or lowest cached

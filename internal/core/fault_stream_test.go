@@ -257,7 +257,7 @@ func TestRunContextCancellation(t *testing.T) {
 	for _, reference := range []bool{false, true} {
 		run := func(ctx context.Context) (*Run, error) {
 			if reference {
-				return runRef(ctx, e, d)
+				return runRef(ctx, e, d, 0)
 			}
 			return e.RunDetailedWith(ctx, d, driver.Options{})
 		}

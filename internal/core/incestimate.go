@@ -79,7 +79,7 @@ func parseSelector(s string) (Selector, error) {
 // IncEstimate is the incremental corroboration algorithm (Algorithm 1).
 // The zero value is ready to use and runs IncEstHeu with the paper's
 // defaults. Runs and stream batches refuse an InitialTrust or DeferBand
-// that is NaN or outside [0, 1] and a negative MaxRounds or CandidateCap.
+// that is NaN or outside [0, 1].
 type IncEstimate struct {
 	// Strategy picks the fact-selection heuristic (default SelectHeu).
 	Strategy Selector
@@ -88,15 +88,6 @@ type IncEstimate struct {
 	// default of 0.9. The paper observes (§6.1.1) that any default above
 	// 0.5 yields the same corroboration result.
 	InitialTrust float64
-	// MaxRounds bounds the number of time points as a safety valve;
-	// 0 means no artificial bound (the algorithm always terminates because
-	// every round evaluates at least one fact).
-	MaxRounds int
-	// CandidateCap, when positive, restricts the ∆H ranking to the cap
-	// largest groups per side. It is an optional performance knob for very
-	// wide datasets; 0 (the default) ranks every group exactly as in the
-	// paper.
-	CandidateCap int
 	// FullGroups disables the paper's balanced truncation (Algorithm 2
 	// line 7, n = min of the two group sizes) and evaluates both selected
 	// groups entirely. An ablation knob: truncation guards against the
@@ -112,16 +103,6 @@ type IncEstimate struct {
 	// (the paper's walk-through uses hard 0/1 outcomes; soft absorption is
 	// an ablation that bounds trust overshoot on large noisy datasets).
 	SoftAbsorb bool
-	// AnchoredTrust blends each source's trust between the hard credits of
-	// its decided facts and its still-undecided facts taken at their
-	// current corroborated probabilities (lagged one round). Definition 1's
-	// literal reading — trust over decided facts only — reproduces the
-	// paper's worked example exactly but lets a biased early subset pin a
-	// source at 0 or 1; anchoring keeps every source's trust consistent
-	// with its full posting list while still letting conflict-exposed
-	// sources spiral down through their own stale mass. Recommended for
-	// datasets orders of magnitude larger than the number of fact groups.
-	AnchoredTrust bool
 	// DeferBand defers maximum-entropy affirmative-only negative groups: a
 	// group from F* (T votes only) on the negative side is only eligible
 	// for selection when its probability is at most 0.5 - DeferBand;
@@ -157,9 +138,9 @@ type Run struct {
 // Name implements driver.Method.
 func (e *IncEstimate) Name() string { return e.Strategy.String() }
 
-// RunWith implements driver.Method: Options.MaxIter overrides MaxRounds
-// (the safety valve that sweeps everything left in one final round; an
-// explicit zero sweeps immediately under the initial trust), and an
+// RunWith implements driver.Method: Options.MaxIter caps the time points
+// and sweeps everything left in one final round once the cap is reached
+// (an explicit zero sweeps immediately under the initial trust), and an
 // Observer sees one Round per time point. Cancellation or deadline expiry
 // of ctx is checked at every round boundary (time point) and aborts the
 // run with an error wrapping ctx.Err(). Rounds are never interrupted
@@ -185,12 +166,12 @@ func (e *IncEstimate) RunDetailedWith(ctx context.Context, d *truth.Dataset, opt
 }
 
 // checkConfig refuses a configuration that no run can use and no
-// checkpoint can restore: an unknown strategy, an initial trust or defer
-// band that is NaN or outside [0, 1], or a negative round or candidate
-// bound. Otherwise it returns σ0(S), the initial trust with 0 resolved to
-// the paper's default of 0.9. Batch runs, every stream batch and every
-// restored checkpoint go through it, so a stream never absorbs a
-// configuration that its own checkpoint would refuse.
+// checkpoint can restore: an unknown strategy, or an initial trust or
+// defer band that is NaN or outside [0, 1]. Otherwise it returns σ0(S),
+// the initial trust with 0 resolved to the paper's default of 0.9. Batch
+// runs, every stream batch and every restored checkpoint go through it,
+// so a stream never absorbs a configuration that its own checkpoint would
+// refuse.
 func (e *IncEstimate) checkConfig() (init float64, err error) {
 	if e.Strategy < SelectHeu || e.Strategy > SelectHybrid {
 		return 0, fmt.Errorf("unknown selector %d", int(e.Strategy))
@@ -205,9 +186,6 @@ func (e *IncEstimate) checkConfig() (init float64, err error) {
 	if bad01(e.DeferBand) {
 		return 0, fmt.Errorf("defer band %v out of [0, 1]", e.DeferBand)
 	}
-	if e.MaxRounds < 0 || e.CandidateCap < 0 {
-		return 0, fmt.Errorf("negative round or candidate bound")
-	}
 	return init, nil
 }
 
@@ -216,20 +194,17 @@ func (e *IncEstimate) checkConfig() (init float64, err error) {
 // (reference_test.go), with every trust-vector read, group probability,
 // and ∆H entropy term served from the engine's exact caches
 // (see index.go and deltah.go). The round loop runs on the shared driver:
-// one Step per time point, cancellation at round boundaries, MaxRounds
-// overridable through Options.MaxIter.
+// one Step per time point, cancellation at round boundaries, and the
+// Options.MaxIter sweep.
 func (e *IncEstimate) runEngine(ctx context.Context, d *truth.Dataset, init float64, opts driver.Options) (*Run, error) {
 	groups := buildGroups(d)
 	state := newTrustState(d.NumSources(), init)
-	if e.AnchoredTrust {
-		state.enableAnchors()
-	}
 	result := truth.NewResult(e.Name(), d)
 	run := &Run{Result: result}
 	eng := newEngine(e, d, state, groups, result)
 
-	cfg := opts.Resolve(ctx, driver.Defaults{MaxIter: e.MaxRounds})
-	// The MaxRounds cap is not a hard stop: reaching it triggers the
+	cfg := opts.Resolve(ctx, driver.Defaults{})
+	// The MaxIter cap is not a hard stop: reaching it triggers the
 	// final evaluate-everything sweep, which must itself run as a round.
 	// So the valve lives inside the Step and the driver runs uncapped,
 	// terminating through the Step's done signal.
@@ -241,12 +216,6 @@ func (e *IncEstimate) runEngine(ctx context.Context, d *truth.Dataset, init floa
 	if remaining > 0 {
 		_, err := driver.Iterate(runCfg, func(round int) (float64, bool, error) {
 			eng.syncTrust()
-			if e.AnchoredTrust {
-				// Anchors use the cached probabilities under the previous
-				// round's trust, then move every source's trust — sync again.
-				eng.refreshAnchors()
-				eng.syncTrust()
-			}
 			if hasSweep && round >= sweepAt {
 				eng.evaluateAll(run)
 				remaining = 0
@@ -281,11 +250,6 @@ func (e *IncEstimate) runEngine(ctx context.Context, d *truth.Dataset, init floa
 		}
 	}
 
-	if e.AnchoredTrust {
-		// Every fact is decided: the final trust is the hard average over
-		// each source's full posting list.
-		eng.refreshAnchors()
-	}
 	result.Trust = state.vector()
 	invariant.TrustNormalized("IncEstimate trust", result.Trust)
 	result.Iterations = len(run.Trajectory)
@@ -372,8 +336,6 @@ func (eng *engine) stepBalanced() []int {
 		fgNeg = eng.extreme(neg, false)
 		fgPos = eng.rankPositive(pos, fgNeg)
 	} else {
-		pos = e.capCandidates(pos)
-		neg = e.capCandidates(neg)
 		// Rank the negative side first: uncovering a projected-false group
 		// is what moves trust away from its optimistic default. The
 		// positive side is ranked against the state as it will look once
@@ -455,26 +417,6 @@ func outcome(p float64, soft bool) float64 {
 		return p
 	}
 	return score.Normalize(p)
-}
-
-// capCandidates optionally prunes a side to the cap largest groups.
-func (e *IncEstimate) capCandidates(side []*group) []*group {
-	if e.CandidateCap <= 0 || len(side) <= e.CandidateCap {
-		return side
-	}
-	pruned := append([]*group(nil), side...)
-	// Partial selection by size, stable on signature for determinism.
-	for i := 0; i < e.CandidateCap; i++ {
-		best := i
-		for j := i + 1; j < len(pruned); j++ {
-			if pruned[j].size() > pruned[best].size() ||
-				(pruned[j].size() == pruned[best].size() && pruned[j].signature < pruned[best].signature) {
-				best = j
-			}
-		}
-		pruned[i], pruned[best] = pruned[best], pruned[i]
-	}
-	return pruned[:e.CandidateCap]
 }
 
 // sign translates the FlipDeltaH knob into a ranking multiplier.

@@ -333,12 +333,12 @@ func TestEmptyAndVotelessDatasets(t *testing.T) {
 
 func TestMaxRoundsSafetyValve(t *testing.T) {
 	d := truth.MotivatingExample()
-	r, err := (&IncEstimate{MaxRounds: 1}).RunDetailedWith(context.Background(), d, driver.Options{})
+	r, err := NewHeu().RunDetailedWith(context.Background(), d, driver.Options{MaxIter: driver.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Trajectory) > 2 {
-		t.Errorf("MaxRounds=1 produced %d time points, want <= 2 (1 + final sweep)", len(r.Trajectory))
+		t.Errorf("MaxIter=1 produced %d time points, want <= 2 (1 + final sweep)", len(r.Trajectory))
 	}
 	total := 0
 	for _, tp := range r.Trajectory {
@@ -347,22 +347,6 @@ func TestMaxRoundsSafetyValve(t *testing.T) {
 	if total != d.NumFacts() {
 		t.Errorf("evaluated %d facts, want all %d", total, d.NumFacts())
 	}
-}
-
-func TestCandidateCapKeepsResultsSane(t *testing.T) {
-	d := truth.MotivatingExample()
-	uncapped, _ := NewHeu().RunWith(context.Background(), d, driver.Options{})
-	capped, _ := (&IncEstimate{CandidateCap: 2}).RunWith(context.Background(), d, driver.Options{})
-	// The cap may change the schedule but must still produce a valid
-	// result covering every fact and keep recall at 1 here.
-	if err := capped.Check(d); err != nil {
-		t.Fatal(err)
-	}
-	cr := metrics.Evaluate(d, capped)
-	if cr.Recall != 1 {
-		t.Errorf("capped recall = %v", cr.Recall)
-	}
-	_ = uncapped
 }
 
 func TestMultiValueTrustEvolves(t *testing.T) {

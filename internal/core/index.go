@@ -1,9 +1,6 @@
 package core
 
-import (
-	"corroborate/internal/score"
-	"corroborate/internal/truth"
-)
+import "corroborate/internal/truth"
 
 // sourceIndex is the inverted source → fact-group index: for every source,
 // the ordinals (buildGroups positions) of the groups whose posting list
@@ -38,9 +35,8 @@ func buildSourceIndex(groups []*group, sources int) sourceIndex {
 	return idx
 }
 
-// rankScratch is the scratch space of the ∆H scorer.
+// rankScratch is the scratch space of the neighbor merge.
 type rankScratch struct {
-	trust []float64 // projected trust vector (len == sources)
 	lists [][]int32 // posting-list heads for the neighbor merge
 	nbrs  []int32   // merged neighbor ordinals (uncached fallback)
 }
@@ -129,11 +125,9 @@ type engine struct {
 
 	// srcDirty accumulates the sources whose credit/count moved since the
 	// last syncTrust (fed by noteAbsorb); the sync recomputes trust only for
-	// those. allSrcDirty forces the full scan (anchor refreshes move every
-	// source).
+	// those.
 	srcDirtyMark []bool
 	srcDirty     []int32
-	allSrcDirty  bool
 
 	// sizeF mirrors each group's remaining size as a float64, refreshed by
 	// noteAbsorb after every real absorption — the ranking scans read it
@@ -148,9 +142,6 @@ type engine struct {
 	posSavedCount  []int
 	posSavedOrds   []int32
 	posSavedH      []float64
-
-	anchorCredit []float64 // reused accumulators for refreshAnchors
-	anchorCount  []float64
 
 	seq     rankScratch   // scratch for sequential scoring
 	heapBuf candidateHeap // reused backing array for the lazy ranking heap
@@ -194,11 +185,6 @@ func newEngine(cfg *IncEstimate, d *truth.Dataset, state *trustState, groups []*
 		// Generation 0 in a pair-row stamp means "never computed", so the
 		// live generations start at 1.
 		eng.colGen[g.ord] = 1
-	}
-	eng.seq = rankScratch{trust: make([]float64, sources)}
-	if cfg.AnchoredTrust {
-		eng.anchorCredit = make([]float64, sources)
-		eng.anchorCount = make([]float64, sources)
 	}
 	eng.afterTrust = make([]float64, sources)
 	return eng
@@ -274,22 +260,11 @@ func (eng *engine) neighbors(g *group, scratch *rankScratch) []int32 {
 // the last sync (marked by noteAbsorb) are re-derived; every other source's
 // trust is a pure function of unchanged inputs and is bitwise current.
 func (eng *engine) syncTrust() {
-	if eng.allSrcDirty {
-		eng.allSrcDirty = false
-		for _, s := range eng.srcDirty {
-			eng.srcDirtyMark[s] = false
-		}
-		eng.srcDirty = eng.srcDirty[:0]
-		for s, old := range eng.trust {
-			eng.syncSource(s, old)
-		}
-	} else {
-		for _, s := range eng.srcDirty {
-			eng.srcDirtyMark[s] = false
-			eng.syncSource(int(s), eng.trust[s])
-		}
-		eng.srcDirty = eng.srcDirty[:0]
+	for _, s := range eng.srcDirty {
+		eng.srcDirtyMark[s] = false
+		eng.syncSource(int(s), eng.trust[s])
 	}
+	eng.srcDirty = eng.srcDirty[:0]
 	for _, ord := range eng.dirtyOrds {
 		eng.dirtyMark[ord] = false
 		g := eng.groups[ord]
@@ -391,8 +366,8 @@ func (eng *engine) evaluateBatch(side []*group) []int {
 	return all
 }
 
-// evaluateAll corroborates every remaining fact in one sweep (MaxRounds
-// safety valve).
+// evaluateAll corroborates every remaining fact in one sweep (the
+// Options.MaxIter safety valve).
 func (eng *engine) evaluateAll(run *Run) {
 	liveOnly := make([]*group, 0, len(eng.live))
 	for _, g := range eng.live {
@@ -408,37 +383,4 @@ func (eng *engine) evaluateAll(run *Run) {
 			Evaluated: all,
 		})
 	}
-}
-
-// refreshAnchors recomputes the undecided-mass anchors from the live
-// groups' cached probabilities (synced to the previous round's trust).
-func (eng *engine) refreshAnchors() {
-	credit, count := eng.anchorCredit, eng.anchorCount
-	for s := range credit {
-		credit[s], count[s] = 0, 0
-	}
-	for _, g := range eng.live {
-		if g.size() == 0 {
-			continue
-		}
-		p := eng.probs[g.ord]
-		n := float64(g.size())
-		for _, sv := range g.votes {
-			credit[sv.Source] += n * score.SourceCredit(sv.Vote, p)
-			count[sv.Source] += n
-		}
-	}
-	for s := range credit {
-		eng.state.setAnchors(s, credit[s], count[s])
-	}
-	// Anchors feed both the trust vector and projectInto for every source,
-	// so no cached pair term, heap key, or trust entry survives an anchor
-	// refresh: advance every column generation, stale every row, and force
-	// the next trust sync to rescan all sources. Anchored runs keep the
-	// lazy ranking correct but forgo its caching benefit.
-	for i := range eng.colGen {
-		eng.colGen[i]++
-		eng.rowStale[i] = true
-	}
-	eng.allSrcDirty = true
 }

@@ -205,22 +205,28 @@ func (eng *engine) rowKey(c, exclude *group, baseH []float64, sign float64, over
 	return key, exact
 }
 
-// refreshRow computes a candidate's exact signed ∆H score, serving valid
-// terms from the pair cache and recomputing — and re-stamping — the rest.
-// Overlay columns (positive-side ranking only) are computed fresh against
-// the overlay baseline and never stored. The accumulation visits neighbors
-// in ascending ordinal order, so the sum is bit-identical to the reference
-// full scan. The projection is done in place on baseTrust — the candidate's
-// few entries are saved, overwritten, and restored bitwise — instead of
-// copying the whole vector per refresh.
+// refreshRow computes a candidate's exact signed ∆H score (Eq. 9), serving
+// valid terms from the pair cache and recomputing — and re-stamping — the
+// rest. Only the groups sharing a source with the candidate are visited:
+// for every other group the projected trust equals the base trust bitwise,
+// so its entropy delta is exactly zero. A candidate without a cached
+// neighbor list merges its list on the fly and has no pair row, so every
+// term is computed fresh. Overlay columns (positive-side ranking only) are
+// computed fresh against the overlay baseline and never stored. The
+// accumulation visits neighbors in ascending ordinal order, so the sum is
+// bit-identical to the reference full scan. The projection is done in place
+// on baseTrust — the candidate's few entries are saved, overwritten, and
+// restored bitwise — instead of copying the whole vector per refresh.
 func (eng *engine) refreshRow(c, exclude *group, st *trustState, baseTrust, baseH []float64, sign float64, overlay bool) float64 {
-	nbrs := eng.nbrCache[c.ord]
-	if nbrs == nil {
-		return sign * eng.scoreDeltaH(c, exclude, st, baseTrust, baseH, &eng.seq)
-	}
 	out := score.Normalize(eng.probs[c.ord])
 	csize := c.size()
-	row := eng.ensurePairRow(c.ord, len(nbrs))
+	var row *pairRow
+	nbrs := eng.nbrCache[c.ord]
+	if nbrs != nil {
+		row = eng.ensurePairRow(c.ord, len(nbrs))
+	} else {
+		nbrs = eng.neighbors(c, &eng.seq)
+	}
 	//lint:ignore floatexact cache validity on a stored copy of the same computation; an epsilon would serve stale terms and break bit-identity with the reference
 	if row != nil && (row.outcome != out || row.size != csize) {
 		row.outcome, row.size = out, csize

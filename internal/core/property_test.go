@@ -58,7 +58,7 @@ func randomDataset(seed uint64, sources, facts int) *truth.Dataset {
 // each fact exactly once, and keep trust inside [0, 1] at every time point.
 func TestIncEstimateInvariantsOnRandomWorlds(t *testing.T) {
 	strategies := []*IncEstimate{NewHeu(), NewPS(), NewScale(),
-		{Strategy: SelectHybrid}, {SoftAbsorb: true}, {AnchoredTrust: true}}
+		{Strategy: SelectHybrid}, {SoftAbsorb: true}}
 	prop := func(seed uint64, nsRaw, nfRaw uint8) bool {
 		sources := 1 + int(nsRaw%7)
 		facts := 1 + int(nfRaw%60)

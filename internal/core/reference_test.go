@@ -19,14 +19,14 @@ import (
 
 // runRef runs the reference under e's configuration, refusing what
 // RunDetailedWith refuses. It takes no run options: the reference keeps
-// its pre-runtime loop, so the equivalence suite compares it against
-// engine runs with empty options only.
-func runRef(ctx context.Context, e *IncEstimate, d *truth.Dataset) (*Run, error) {
+// its pre-runtime loop, whose only override is the round cap (0: none),
+// the counterpart of the engine's Options.MaxIter.
+func runRef(ctx context.Context, e *IncEstimate, d *truth.Dataset, rounds int) (*Run, error) {
 	init, err := e.checkConfig()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return e.runReference(ctx, d, init)
+	return e.runReference(ctx, d, init, rounds)
 }
 
 // cancelledAt renders a round-boundary cancellation, preserving ctx.Err()
@@ -39,16 +39,12 @@ func cancelledAt(ctx context.Context, round, remaining int) error {
 // runReference is the pre-engine implementation, retained verbatim as the
 // semantic reference: the equivalence suite asserts the engine produces
 // byte-identical Result and Trajectory output on every strategy and knob.
-func (e *IncEstimate) runReference(ctx context.Context, d *truth.Dataset, init float64) (*Run, error) {
+func (e *IncEstimate) runReference(ctx context.Context, d *truth.Dataset, init float64, rounds int) (*Run, error) {
 	groups := buildGroups(d)
 	state := newTrustState(d.NumSources(), init)
-	if e.AnchoredTrust {
-		state.enableAnchors()
-	}
 	result := truth.NewResult(e.Name(), d)
 	run := &Run{Result: result}
 	scratch := make([]float64, d.NumSources())
-	prevTrust := score.Fill(make([]float64, d.NumSources()), init)
 
 	remaining := d.NumFacts()
 	round := 0
@@ -56,10 +52,7 @@ func (e *IncEstimate) runReference(ctx context.Context, d *truth.Dataset, init f
 		if ctx.Err() != nil {
 			return nil, cancelledAt(ctx, round, remaining)
 		}
-		if e.AnchoredTrust {
-			refreshAnchors(state, groups, prevTrust)
-		}
-		if e.MaxRounds > 0 && round >= e.MaxRounds {
+		if rounds > 0 && round >= rounds {
 			// Safety valve: corroborate everything left in one sweep.
 			e.evaluateAll(d, groups, state, result, run)
 			break
@@ -78,19 +71,13 @@ func (e *IncEstimate) runReference(ctx context.Context, d *truth.Dataset, init f
 		}
 		remaining -= len(evaluated)
 		groups = compact(groups)
-		prevTrust = state.vector()
 		run.Trajectory = append(run.Trajectory, TimePoint{
-			Trust:     prevTrust,
+			Trust:     state.vector(),
 			Evaluated: evaluated,
 		})
 		round++
 	}
 
-	if e.AnchoredTrust {
-		// Every fact is decided: the final trust is the hard average over
-		// each source's full posting list.
-		refreshAnchors(state, nil, prevTrust)
-	}
 	result.Trust = state.vector()
 	invariant.TrustNormalized("IncEstimate reference trust", result.Trust)
 	result.Iterations = len(run.Trajectory)
@@ -229,8 +216,6 @@ func (e *IncEstimate) stepBalanced(groups []*group, state *trustState, result *t
 		}
 		fgPos = argmaxDeltaHWithOutcome(pos, rest, afterNeg, afterNegTrust, trust, scratch, e.sign())
 	} else {
-		pos = e.capCandidates(pos)
-		neg = e.capCandidates(neg)
 		// Rank the negative side first, against the current state:
 		// uncovering a projected-false group is what moves trust scores
 		// away from their optimistic defaults. Outcomes used in the
@@ -393,7 +378,7 @@ func (e *IncEstimate) stepPS(groups []*group, state *trustState, result *truth.R
 }
 
 // evaluateAll corroborates every remaining fact in one sweep (used only by
-// the MaxRounds safety valve).
+// the round-cap safety valve).
 func (e *IncEstimate) evaluateAll(d *truth.Dataset, groups []*group, state *trustState, result *truth.Result, run *Run) {
 	live := make([]*group, 0, len(groups))
 	for _, g := range groups {
@@ -404,27 +389,6 @@ func (e *IncEstimate) evaluateAll(d *truth.Dataset, groups []*group, state *trus
 	all := evaluateBatch(live, state.vector(), state, result, e.SoftAbsorb)
 	if len(all) > 0 {
 		run.Trajectory = append(run.Trajectory, TimePoint{Trust: state.vector(), Evaluated: all})
-	}
-}
-
-// refreshAnchors recomputes the undecided-mass anchors from the remaining
-// groups' corroborated probabilities under the previous round's trust.
-func refreshAnchors(state *trustState, groups []*group, prevTrust []float64) {
-	credit := make([]float64, len(prevTrust))
-	count := make([]float64, len(prevTrust))
-	for _, g := range groups {
-		if g.size() == 0 {
-			continue
-		}
-		p := g.prob(prevTrust)
-		n := float64(g.size())
-		for _, sv := range g.votes {
-			credit[sv.Source] += n * score.SourceCredit(sv.Vote, p)
-			count[sv.Source] += n
-		}
-	}
-	for s := range credit {
-		state.setAnchors(s, credit[s], count[s])
 	}
 }
 
@@ -439,17 +403,12 @@ func (t *trustState) clone() *trustState {
 	if t.fcount != nil {
 		c.fcount = append([]float64(nil), t.fcount...)
 	}
-	if t.anchorCredit != nil {
-		c.anchorCredit = append([]float64(nil), t.anchorCredit...)
-		c.anchorCount = append([]float64(nil), t.anchorCount...)
-	}
 	return c
 }
 
 // project returns the trust vector that would result from evaluating count
 // facts with the given posting list and normalized outcome, without
-// mutating the state (anchors, when enabled, are held fixed — they lag one
-// round by design). The scratch slice (len == sources) is reused to avoid
+// mutating the state. The scratch slice (len == sources) is reused to avoid
 // allocation in the ∆H inner loop; the returned slice aliases it.
 func (t *trustState) project(votes []truth.SourceVote, normProb float64, count int, scratch []float64) []float64 {
 	for s := range scratch {

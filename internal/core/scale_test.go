@@ -205,27 +205,6 @@ func TestSoftAbsorbBoundsTrust(t *testing.T) {
 	}
 }
 
-func TestAnchoredTrustStaysConsistent(t *testing.T) {
-	// Anchored trust keeps every source near its full-posting-list
-	// average; on the motivating example nobody should crash to 0 while
-	// facts remain undecided, and the run must remain valid.
-	d := truth.MotivatingExample()
-	run, err := (&IncEstimate{Strategy: SelectHeu, AnchoredTrust: true}).RunDetailedWith(context.Background(), d, driver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run.Result.Check(d); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, tp := range run.Trajectory {
-		total += len(tp.Evaluated)
-	}
-	if total != d.NumFacts() {
-		t.Errorf("anchored run covered %d facts, want %d", total, d.NumFacts())
-	}
-}
-
 func TestFlipDeltaHIsValidButDifferent(t *testing.T) {
 	d := truth.MotivatingExample()
 	flip, err := (&IncEstimate{Strategy: SelectHeu, FlipDeltaH: true}).RunWith(context.Background(), d, driver.Options{})

@@ -27,12 +27,6 @@ type trustState struct {
 	// keeping decay-disabled streams bit-identical to the pre-decay engine.
 	decay  float64
 	fcount []float64
-
-	// Anchors, when non-nil, blend the undecided mass into the trust (the
-	// AnchoredTrust option): each source's still-unevaluated facts
-	// contribute their lagged corroborated probability as soft credit.
-	anchorCredit []float64
-	anchorCount  []float64
 }
 
 func newTrustState(sources int, defaultTrust float64) *trustState {
@@ -69,27 +63,11 @@ func (t *trustState) applyDecay() {
 	}
 }
 
-// enableAnchors switches the state to anchored mode.
-func (t *trustState) enableAnchors() {
-	t.anchorCredit = make([]float64, len(t.credit))
-	t.anchorCount = make([]float64, len(t.credit))
-}
-
-// setAnchors replaces the anchor accumulators for source s.
-func (t *trustState) setAnchors(s int, credit, count float64) {
-	t.anchorCredit[s] = credit
-	t.anchorCount[s] = count
-}
-
 // trust returns source s's current trust value σi(s).
 func (t *trustState) trust(s int) float64 {
 	credit, count := t.credit[s], float64(t.count[s])
 	if t.fcount != nil {
 		count = t.fcount[s]
-	}
-	if t.anchorCredit != nil {
-		credit += t.anchorCredit[s]
-		count += t.anchorCount[s]
 	}
 	if count == 0 {
 		return t.defaultTrust
@@ -140,10 +118,6 @@ func (t *trustState) projectInto(votes []truth.SourceVote, normProb float64, cou
 		n := float64(t.count[sv.Source] + count)
 		if t.fcount != nil {
 			n = t.fcount[sv.Source] + float64(count)
-		}
-		if t.anchorCredit != nil {
-			credit += t.anchorCredit[sv.Source]
-			n += t.anchorCount[sv.Source]
 		}
 		if n == 0 {
 			// Zero evaluated mass (a hypothetical projection of zero

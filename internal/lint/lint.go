@@ -18,7 +18,8 @@
 //
 // placed either on the line immediately above the offending line or as a
 // trailing comment on the line itself. The reason is mandatory: a
-// suppression without one is itself reported.
+// suppression without one is itself reported, and so is one that names an
+// analyzer the suite does not have.
 package lint
 
 import (
@@ -292,8 +293,15 @@ func parseIgnore(text string) (*ignoreDirective, bool) {
 }
 
 // applySuppressions removes findings covered by a well-formed
-// //lint:ignore directive and appends a finding for each malformed one.
+// //lint:ignore directive and appends a finding for each malformed one and
+// for each name a directive gives that is neither "*" nor an analyzer of
+// the full suite (even when this run enables a subset), so a misspelt or
+// stale suppression is reported instead of silently doing nothing.
 func applySuppressions(pkg *Package, findings []Finding) []Finding {
+	known := map[string]bool{"*": true}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	// suppressed maps file -> line -> analyzer names silenced on that line.
 	suppressed := make(map[string]map[int]map[string]bool)
 	mark := func(pos token.Position, names []string) {
@@ -326,6 +334,15 @@ func applySuppressions(pkg *Package, findings []Finding) []Finding {
 						Message:  "malformed //lint:ignore: want //lint:ignore <analyzer>[,<analyzer>...] <reason>",
 					})
 					continue
+				}
+				for _, n := range dir.analyzers {
+					if !known[n] {
+						findings = append(findings, Finding{
+							Analyzer: "corrolint",
+							Pos:      pos,
+							Message:  fmt.Sprintf("//lint:ignore names unknown analyzer %q", n),
+						})
+					}
 				}
 				// A directive covers its own line (trailing-comment form)
 				// and the line after the comment group it belongs to

@@ -1,6 +1,7 @@
 // Package fixture exercises the //lint:ignore machinery: well-formed
 // directives silence findings (line-above and trailing forms, multiple
-// analyzers per directive), malformed ones are themselves reported.
+// analyzers per directive), malformed ones and ones naming an unknown
+// analyzer are themselves reported.
 package fixture
 
 import "math"
@@ -40,5 +41,12 @@ func multiSloppy(a, b float64) bool {
 // finding underneath survives.
 func malformed(x float64) float64 {
 	//lint:ignore logguard
+	return math.Log(x)
+}
+
+// unknownAnalyzer names an analyzer the suite does not have: the directive
+// is reported and, silencing nothing, leaves the finding underneath.
+func unknownAnalyzer(x float64) float64 {
+	//lint:ignore nosuchanalyzer fixture: a misspelt or deleted analyzer's name
 	return math.Log(x)
 }

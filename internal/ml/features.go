@@ -46,21 +46,15 @@ type Classifier interface {
 	PredictProb(x []float64) float64
 }
 
-// CrossValidate runs stratified k-fold cross-validation over the dataset's
-// golden facts: each golden fact is predicted by a classifier trained on
-// the other folds. Facts outside the golden set keep probability 0.5. The
-// returned result carries the method name.
-func CrossValidate(name string, d *truth.Dataset, folds int, seed int64, newClassifier func() Classifier) (*truth.Result, error) {
-	return CrossValidateWith(name, d, context.Background(), engine.Options{}, folds, seed,
-		func(int64) Classifier { return newClassifier() })
-}
-
-// CrossValidateWith is CrossValidate under the shared runtime: each fold is
-// one driver round (cancellable at fold boundaries, reported to Observers),
-// Options.Seed overrides the fold-shuffle and classifier seed, and
-// Options.MaxIter caps how many folds run (capped-out folds keep their test
-// facts at probability 0.5). The classifier factory receives the resolved
-// seed so seeded learners stay on the run's RNG stream.
+// CrossValidateWith runs stratified k-fold cross-validation over the
+// dataset's golden facts: each golden fact is predicted by a classifier
+// trained on the other folds. Facts outside the golden set keep
+// probability 0.5, and the returned result carries the method name. Each
+// fold is one driver round (cancellable at fold boundaries, reported to
+// Observers), Options.Seed overrides the fold-shuffle and classifier seed,
+// and Options.MaxIter caps how many folds run (capped-out folds keep their
+// test facts at probability 0.5). The classifier factory receives the
+// resolved seed so seeded learners stay on the run's RNG stream.
 func CrossValidateWith(name string, d *truth.Dataset, ctx context.Context, opts engine.Options, folds int, seed int64, newClassifier func(seed int64) Classifier) (*truth.Result, error) {
 	if folds < 2 {
 		return nil, fmt.Errorf("ml: need at least 2 folds, got %d", folds)

@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -332,12 +331,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrNotAcknowledged):
 		writeError(w, http.StatusGatewayTimeout, "%v", err)
+	case errors.Is(err, ErrNotDurable):
+		// Applied in memory, checkpoint failed: honest non-ack.
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		if strings.Contains(err.Error(), "not durable") {
-			// Applied in memory, checkpoint failed: honest non-ack.
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
 		// Atomic rejection by the stream: the batch itself is invalid.
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}

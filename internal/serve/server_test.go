@@ -312,6 +312,14 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{"empty batch", func() (*http.Response, error) {
 			return postIngest(ts, "t", []byte(`{"votes":[]}`))
 		}, http.StatusBadRequest},
+		// A batch the stream refuses is a 400 whatever the client named
+		// its facts: the status must not depend on the error's text.
+		{"duplicate vote", func() (*http.Response, error) {
+			return postIngest(ts, "t", []byte(`{"votes":[{"fact":"plain","source":"s","vote":"T"},{"fact":"plain","source":"s","vote":"T"}]}`))
+		}, http.StatusBadRequest},
+		{"duplicate vote on a fact named like the non-durable error", func() (*http.Response, error) {
+			return postIngest(ts, "t", []byte(`{"votes":[{"fact":"listing not durable","source":"s","vote":"T"},{"fact":"listing not durable","source":"s","vote":"T"}]}`))
+		}, http.StatusBadRequest},
 		{"bad offset", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v1/tenants/t/query?offset=-1")
 		}, http.StatusBadRequest},

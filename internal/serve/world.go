@@ -31,6 +31,10 @@ var (
 	// promise of durability — so the client must treat the outcome as
 	// unknown and re-query before re-sending.
 	ErrNotAcknowledged = errors.New("serve: request expired before acknowledgment; batch may still be applied")
+	// ErrNotDurable reports a batch the world applied in memory but could
+	// not make durable: the checkpoint sink failed, so the requester is not
+	// acknowledged (HTTP 503).
+	ErrNotDurable = errors.New("applied but not durable")
 )
 
 // WorldConfig configures one tenant world.
@@ -340,7 +344,7 @@ func (w *World) apply(votes []core.BatchVote) jobResult {
 			// now would lose it, and "acknowledged" must mean "survives a
 			// crash". Publish so reads stay consistent with memory.
 			w.publish()
-			return jobResult{err: fmt.Errorf("serve: batch %d applied but not durable: %w", batch, serr)}
+			return jobResult{err: fmt.Errorf("serve: batch %d %w: %w", batch, ErrNotDurable, serr)}
 		}
 		w.sinkFailures = 0
 		w.m.lastCheckpoint.Store(w.clock().UnixNano())

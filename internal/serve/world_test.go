@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -302,13 +301,13 @@ func TestReadOnlyDegradation(t *testing.T) {
 	// Every sync fails from here on: saves retry inside the sink, then
 	// give up.
 	ifs.FailSyncs(1 << 30)
-	if _, err := w.Ingest(context.Background(), batches[1]); err == nil || !strings.Contains(err.Error(), "not durable") {
+	if _, err := w.Ingest(context.Background(), batches[1]); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("first failing batch = %v, want not-durable error", err)
 	}
 	if w.ReadOnly() {
 		t.Fatal("read-only after a single failure with ReadOnlyAfter=2")
 	}
-	if _, err := w.Ingest(context.Background(), batches[2]); err == nil || !strings.Contains(err.Error(), "not durable") {
+	if _, err := w.Ingest(context.Background(), batches[2]); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("second failing batch = %v, want not-durable error", err)
 	}
 	if !w.ReadOnly() {
