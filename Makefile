@@ -63,12 +63,17 @@ race:
 	# paths that a single cold run never revisits.
 	$(GO) test -race -count=2 -run 'TestLazyPQEquivalence|TestLazyPQDeterminism|TestEngineMatchesReference' ./internal/core
 
-# golden regenerates the differential-test fixtures under testdata/golden
-# and the corrolint analyzer goldens — run it after a deliberate
-# output-format or numeric change, then review the diff.
+# golden regenerates the differential-test fixtures under testdata/golden,
+# the corrolint analyzer goldens and each example's stdout under
+# testdata/examples — run it after a deliberate output-format or numeric
+# change, then review the diff.
 golden:
 	$(GO) test -run TestGoldenDifferential -update .
 	$(GO) test -run TestAnalyzerGolden -update ./internal/lint
+	@mkdir -p testdata/examples
+	@for d in examples/*/; do \
+		$(GO) run ./$$d >testdata/examples/$$(basename $$d).txt || exit 1; \
+	done
 
 # check is the CI gate: formatting, compile, static checks (vet +
 # corrolint), the full test suite with and without runtime invariants, and
@@ -131,11 +136,16 @@ determinism-smoke:
 	sh scripts/determinism_smoke.sh
 
 # examples-smoke builds and runs every program under examples/ and fails
-# when one exits non-zero; the whole set runs in a few seconds.
+# when one exits non-zero or prints anything but its committed stdout,
+# testdata/examples/<name>.txt (make golden rewrites those); the whole set
+# runs in a few seconds.
 examples-smoke:
-	@for d in examples/*/; do \
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for d in examples/*/; do \
+		want=testdata/examples/$$(basename $$d).txt; \
 		echo "examples-smoke: $$d"; \
-		$(GO) run ./$$d >/dev/null || { echo "examples-smoke: FAIL: $$d exited non-zero" >&2; exit 1; }; \
+		$(GO) run ./$$d >"$$out" || { echo "examples-smoke: FAIL: $$d exited non-zero" >&2; exit 1; }; \
+		cmp -s "$$out" "$$want" || { diff -u "$$want" "$$out"; echo "examples-smoke: FAIL: $$d stdout differs from $$want" >&2; exit 1; }; \
 	done
 
 # loc prints the non-test Go line count that the project tracks: tracked

@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	matrix, err := corroborate.SourceDependence(d, flat, corroborate.DependenceOptions{})
+	matrix, err := corroborate.SourceDependence(d, flat)
 	if err != nil {
 		log.Fatal(err)
 	}

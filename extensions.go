@@ -42,8 +42,6 @@ type (
 
 	// DependenceMatrix holds pairwise source-dependence posteriors.
 	DependenceMatrix = depend.Matrix
-	// DependenceOptions tunes the dependence detector.
-	DependenceOptions = depend.Options
 
 	// Interval is a two-sided confidence interval.
 	Interval = metrics.Interval
@@ -75,8 +73,8 @@ func DependVoting() Method { return depend.Voting{} }
 // SourceDependence scores pairwise source dependence given a corroboration
 // result: shared affirmations of probably-false facts are copying
 // evidence, disagreement is independence evidence.
-func SourceDependence(d *Dataset, r *Result, opts DependenceOptions) (DependenceMatrix, error) {
-	return depend.Score(d, r, opts)
+func SourceDependence(d *Dataset, r *Result) (DependenceMatrix, error) {
+	return depend.Score(d, r)
 }
 
 // LoadJSON reads a dataset from a JSON file (see the truth package for the

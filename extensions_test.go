@@ -102,7 +102,7 @@ func TestDependVotingPublicAPI(t *testing.T) {
 	if err := r.Check(d); err != nil {
 		t.Fatal(err)
 	}
-	matrix, err := corroborate.SourceDependence(d, r, corroborate.DependenceOptions{})
+	matrix, err := corroborate.SourceDependence(d, r)
 	if err != nil {
 		t.Fatal(err)
 	}

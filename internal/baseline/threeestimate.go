@@ -20,22 +20,17 @@ import (
 // difficulty estimate collapses (unanimous facts have no disagreement) and
 // ThreeEstimate behaves like TwoEstimate; the test suite asserts exactly
 // that degeneration.
-type ThreeEstimate struct {
-	// InitialTrust seeds 1-ε(s); 0 means 0.9.
-	InitialTrust float64
-	// InitialDifficulty seeds δ(f); 0 means 0.5.
-	InitialDifficulty float64
-}
+type ThreeEstimate struct{}
 
 // Name implements engine.Method.
 func (e *ThreeEstimate) Name() string { return "ThreeEstimate" }
 
-// RunWith implements engine.Method. The defaults are TwoEstimate's: 100
-// iterations and a 1e-9 tolerance.
+// RunWith implements engine.Method. The defaults are TwoEstimate's (an
+// initial trust of 0.9, seeding 1-ε(s), 100 iterations and a 1e-9
+// tolerance) plus an initial difficulty δ(f) of 0.5.
 func (e *ThreeEstimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 100, Tolerance: 1e-9, HasTolerance: true})
-	initTrust := engine.OrFloat(e.InitialTrust, 0.9)
-	initDiff := engine.OrFloat(e.InitialDifficulty, 0.5)
+	initTrust, initDiff := 0.9, 0.5
 
 	nS, nF := d.NumSources(), d.NumFacts()
 	errRate := score.Fill(make([]float64, nS), 1-initTrust)

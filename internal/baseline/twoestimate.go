@@ -22,25 +22,17 @@ import (
 // until the trust vector reaches a fixpoint. On the motivating example this
 // reproduces the published trust vector {1, 1, 0.8, 0.9, 1} and the
 // all-true-but-r12 outcome.
-type TwoEstimate struct {
-	// InitialTrust is the starting trust for every source; 0 means the
-	// paper's default of 0.9.
-	InitialTrust float64
-	// DisableNormalization turns off step 2, keeping raw probabilities in
-	// the trust update. This is not part of the published algorithm; it
-	// exists for the ablation experiment that isolates how much of the
-	// trust inflation the paper blames on normalization.
-	DisableNormalization bool
-}
+type TwoEstimate struct{}
 
 // Name implements engine.Method.
 func (e *TwoEstimate) Name() string { return "TwoEstimate" }
 
-// RunWith implements engine.Method. The paper defaults are 100 iterations
-// and a 1e-9 tolerance on the max trust change.
+// RunWith implements engine.Method. The paper defaults are an initial
+// trust of 0.9, 100 iterations and a 1e-9 tolerance on the max trust
+// change.
 func (e *TwoEstimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
 	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: 100, Tolerance: 1e-9, HasTolerance: true})
-	init := engine.OrFloat(e.InitialTrust, 0.9)
+	init := 0.9
 	trust := score.Fill(make([]float64, d.NumSources()), init)
 	probs := make([]float64, d.NumFacts())
 	normed := make([]float64, d.NumFacts())
@@ -50,12 +42,8 @@ func (e *TwoEstimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine
 		for f := range probs {
 			probs[f] = score.Corrob(d.VotesOnFact(f), trust)
 		}
-		if e.DisableNormalization {
-			copy(normed, probs)
-		} else {
-			for f, p := range probs {
-				normed[f] = score.Normalize(p)
-			}
+		for f, p := range probs {
+			normed[f] = score.Normalize(p)
 		}
 		next := trustFromProbs(d, normed, init)
 		delta := engine.MaxDelta(trust, next)

@@ -28,20 +28,9 @@ import (
 	"corroborate/internal/truth"
 )
 
-// Estimate is the BayesEstimate corroborator. The zero value uses the
-// paper's priors and sampler schedule.
+// Estimate is the BayesEstimate corroborator, run with the paper's priors
+// and a sampler schedule of 64 burn-in sweeps and 128 recorded samples.
 type Estimate struct {
-	// Alpha0True/Alpha0False are the Beta pseudo-counts (α⁰₁, α⁰₀) of the
-	// false-positive rate; 0 means the paper's (100, 10000).
-	Alpha0True, Alpha0False float64
-	// Alpha1True/Alpha1False are the Beta pseudo-counts (α¹₁, α¹₀) of the
-	// sensitivity; 0 means the paper's (50, 50).
-	Alpha1True, Alpha1False float64
-	// BetaTrue/BetaFalse are the truth prior pseudo-counts; 0 means the
-	// paper's (10, 10).
-	BetaTrue, BetaFalse float64
-	// BurnIn and Samples control the Gibbs schedule; 0 means 64 and 128.
-	BurnIn, Samples int
 	// Seed drives the sampler's RNG (deterministic for a fixed seed).
 	Seed int64
 }
@@ -49,59 +38,25 @@ type Estimate struct {
 // Name implements engine.Method.
 func (e *Estimate) Name() string { return "BayesEstimate" }
 
-type params struct {
-	a0t, a0f, a1t, a1f, bt, bf float64
-	burnIn, samples            int
-}
-
-func (e *Estimate) params() (params, error) {
-	p := params{
-		a0t: e.Alpha0True, a0f: e.Alpha0False,
-		a1t: e.Alpha1True, a1f: e.Alpha1False,
-		bt: e.BetaTrue, bf: e.BetaFalse,
-		burnIn: e.BurnIn, samples: e.Samples,
-	}
-	if p.a0t == 0 && p.a0f == 0 {
-		p.a0t, p.a0f = 100, 10000
-	}
-	if p.a1t == 0 && p.a1f == 0 {
-		p.a1t, p.a1f = 50, 50
-	}
-	if p.bt == 0 && p.bf == 0 {
-		p.bt, p.bf = 10, 10
-	}
-	if p.a0t <= 0 || p.a0f <= 0 || p.a1t <= 0 || p.a1f <= 0 || p.bt <= 0 || p.bf <= 0 {
-		return p, fmt.Errorf("bayes: priors must be positive")
-	}
-	if p.burnIn == 0 {
-		p.burnIn = 64
-	}
-	if p.samples == 0 {
-		p.samples = 128
-	}
-	if p.burnIn < 0 || p.samples <= 0 {
-		return p, fmt.Errorf("bayes: invalid sampler schedule burnIn=%d samples=%d", p.burnIn, p.samples)
-	}
-	return p, nil
-}
-
 // RunWith implements engine.Method. The iteration cap counts total Gibbs
 // sweeps (burn-in plus recorded samples): an explicit MaxIter override
-// keeps the burn-in and adjusts the number of recorded samples, so it must
-// exceed BurnIn. Options.Seed overrides the struct's Seed.
+// keeps the 64-sweep burn-in and adjusts the number of recorded samples,
+// so it must exceed 64. Options.Seed overrides the struct's Seed.
 func (e *Estimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	p, err := e.params()
-	if err != nil {
-		return nil, err
-	}
+	// The Beta pseudo-counts (α⁰₁, α⁰₀) of the false-positive rate, (α¹₁,
+	// α¹₀) of the sensitivity and (β₁, β₀) of the truth prior.
+	a0t, a0f := 100.0, 10000.0
+	a1t, a1f := 50.0, 50.0
+	bt, bf := 10.0, 10.0
+	burnIn, samples := 64, 128
 	cfg := opts.Resolve(ctx, engine.Defaults{
-		MaxIter: p.burnIn + p.samples,
+		MaxIter: burnIn + samples,
 		Seed:    e.Seed,
 	})
 	if opts.MaxIter != nil && cfg.Capped {
-		p.samples = cfg.MaxIter - p.burnIn
-		if p.samples <= 0 {
-			return nil, fmt.Errorf("bayes: iteration cap %d leaves no samples after the %d-sweep burn-in", cfg.MaxIter, p.burnIn)
+		samples = cfg.MaxIter - burnIn
+		if samples <= 0 {
+			return nil, fmt.Errorf("bayes: iteration cap %d leaves no samples after the %d-sweep burn-in", cfg.MaxIter, burnIn)
 		}
 	}
 	nS, nF := d.NumSources(), d.NumFacts()
@@ -182,9 +137,9 @@ func (e *Estimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Op
 			for s := 0; s < nS; s++ {
 				// Predictive Bernoulli probabilities under each truth.
 				//lint:ignore logguard divisor = non-negative count plus strictly positive Beta pseudo-counts, provably > 0
-				phi1 := (posTrue[s] + p.a1t) / (nT + p.a1t + p.a1f)
+				phi1 := (posTrue[s] + a1t) / (nT + a1t + a1f)
 				//lint:ignore logguard divisor = non-negative count plus strictly positive Beta pseudo-counts, provably > 0
-				phi0 := (posFalse[s] + p.a0t) / (nFalse + p.a0t + p.a0f)
+				phi0 := (posFalse[s] + a0t) / (nFalse + a0t + a0f)
 				if d.Vote(f, s) == truth.Affirm {
 					logOdds += logRatio(phi1, phi0)
 				} else {
@@ -192,7 +147,7 @@ func (e *Estimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Op
 				}
 			}
 			//lint:ignore logguard divisor = totalF-1 ≥ 0 (f itself is held out) plus strictly positive Beta pseudo-counts, provably > 0
-			logOdds += logRatio((nT+p.bt)/(totalF-1+p.bt+p.bf), (nFalse+p.bf)/(totalF-1+p.bt+p.bf))
+			logOdds += logRatio((nT+bt)/(totalF-1+bt+bf), (nFalse+bf)/(totalF-1+bt+bf))
 			pt := 1 / (1 + math.Exp(-logOdds))
 			t[f] = rng.Float64() < pt
 			if record {
@@ -220,10 +175,10 @@ func (e *Estimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Op
 	// the cap and the round-boundary cancellation, and sweeps past the
 	// burn-in record their samples.
 	runCfg := cfg
-	runCfg.MaxIter = p.burnIn + p.samples
+	runCfg.MaxIter = burnIn + samples
 	runCfg.Capped = true
 	iters, err := engine.Iterate(runCfg, func(i int) (float64, bool, error) {
-		sweep(i >= p.burnIn)
+		sweep(i >= burnIn)
 		return engine.NoDelta, false, nil
 	})
 	if err != nil {
@@ -236,7 +191,7 @@ func (e *Estimate) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Op
 			r.FactProb[f] = 0.5
 			continue
 		}
-		r.FactProb[f] = clamp01(trueVotes[f] / float64(p.samples))
+		r.FactProb[f] = clamp01(trueVotes[f] / float64(samples))
 	}
 	// Source trust: the expected precision of the source's affirmative
 	// statements under the inferred truth (trust is "its precision",

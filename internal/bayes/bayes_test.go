@@ -52,49 +52,6 @@ func TestBayesDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestBayesRespondsToPriors(t *testing.T) {
-	// With a symmetric (uninformative) false-positive prior, heavily
-	// denied facts should no longer be rescued by the low-FP assumption.
-	b := truth.NewBuilder()
-	b.AddSources("a", "b", "c")
-	// Background: 20 facts affirmed by everyone.
-	for i := 0; i < 20; i++ {
-		f := b.Fact("bg" + string(rune('a'+i)))
-		for s := 0; s < 3; s++ {
-			b.Vote(f, s, truth.Affirm)
-		}
-	}
-	contested := b.Fact("contested")
-	b.Vote(contested, 0, truth.Deny)
-	b.Vote(contested, 1, truth.Deny)
-	b.Vote(contested, 2, truth.Affirm)
-	d := b.Build()
-
-	// Weaken the priors: a mildly informative FP prior (≈0.1, a hundredth
-	// of the paper's pseudo-count mass) and a high-sensitivity prior make
-	// F votes discriminative. Fully flat priors would not work: the model
-	// then has a label-switching symmetry (all-true and all-false explain
-	// the data equally well) and the sampler averages to 0.5 everywhere.
-	weak := &Estimate{Alpha0True: 1, Alpha0False: 9, Alpha1True: 8, Alpha1False: 2, Seed: 3}
-	r, err := weak.RunWith(context.Background(), d, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Predictions[contested] != truth.False {
-		t.Errorf("with flat FP prior, a 2-F/1-T fact should be false (p=%v)", r.FactProb[contested])
-	}
-}
-
-func TestBayesInvalidConfig(t *testing.T) {
-	d := truth.MotivatingExample()
-	if _, err := (&Estimate{Alpha0True: -1, Alpha0False: 5}).RunWith(context.Background(), d, engine.Options{}); err == nil {
-		t.Error("negative prior must be rejected")
-	}
-	if _, err := (&Estimate{Samples: -3}).RunWith(context.Background(), d, engine.Options{}); err == nil {
-		t.Error("negative sample count must be rejected")
-	}
-}
-
 func TestBayesEmptyAndVoteless(t *testing.T) {
 	empty := truth.NewBuilder().Build()
 	if _, err := (&Estimate{}).RunWith(context.Background(), empty, engine.Options{}); err != nil {

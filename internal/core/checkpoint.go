@@ -56,6 +56,11 @@ type checkpointState struct {
 	Decided    []checkpointFact   `json:"decided,omitempty"`
 }
 
+// checkpointConfig is the IncEstimate a stream runs, as the state's
+// "config" object. Every stream runs the scale profile, so a valid
+// checkpoint carries exactly streamConfig, which the writer emits as
+// streamConfigJSON; the decoder still reads all six keys, and validate
+// refuses any other value.
 type checkpointConfig struct {
 	Strategy     string  `json:"strategy"`
 	InitialTrust float64 `json:"initial_trust,omitempty"`
@@ -64,6 +69,10 @@ type checkpointConfig struct {
 	SoftAbsorb   bool    `json:"soft_absorb,omitempty"`
 	DeferBand    float64 `json:"defer_band,omitempty"`
 }
+
+var streamConfig = checkpointConfig{Strategy: "IncEstScale", DeferBand: 0.12}
+
+const streamConfigJSON = `{"strategy":"IncEstScale","defer_band":0.12}`
 
 // Source and fact names are arbitrary byte strings (the symbol table
 // interns anything), but JSON strings must be valid UTF-8 — encoding/json
@@ -145,15 +154,7 @@ func (st *Stream) encode() ([]byte, error) {
 	sumAt := len(w.b)
 	w.raw(`00000000","state":`)
 	stateAt := len(w.b)
-	c := &st.Config
-	w.raw(`{"config":{"strategy":`)
-	w.str(c.Strategy.String())
-	optFloat(&w, `,"initial_trust":`, c.InitialTrust)
-	optTrue(&w, `,"full_groups":true`, c.FullGroups)
-	optTrue(&w, `,"flip_delta_h":true`, c.FlipDeltaH)
-	optTrue(&w, `,"soft_absorb":true`, c.SoftAbsorb)
-	optFloat(&w, `,"defer_band":`, c.DeferBand)
-	w.raw("}")
+	w.raw(`{"config":` + streamConfigJSON)
 	if st.initDone {
 		optFloat(&w, `,"default_trust":`, st.state.defaultTrust)
 	}
@@ -224,18 +225,12 @@ func (st *Stream) checkpointSizeHint() int {
 	return n
 }
 
-// optFloat and optTrue write an omitempty field — key holds its leading
-// comma and name — when its value is not the zero value.
+// optFloat writes an omitempty field — key holds its leading comma and
+// name — when its value is not the zero value.
 func optFloat(w *jsonWriter, key string, f float64) {
 	if f != 0 {
 		w.raw(key)
 		w.float(f)
-	}
-}
-
-func optTrue(w *jsonWriter, field string, v bool) {
-	if v {
-		w.raw(field)
 	}
 }
 
@@ -288,17 +283,13 @@ func restoreInto(st *Stream, base, log []byte) (bool, error) {
 	if err := cs.validate(); err != nil {
 		return false, fmt.Errorf("core: invalid checkpoint: %w", err)
 	}
-	return torn, install(st, cs)
+	install(st, cs)
+	return torn, nil
 }
 
 // install loads a validated checkpoint state into st, which must be
 // freshly constructed.
-func install(st *Stream, cs *checkpointState) error {
-	cfg, err := cs.Config.estimate()
-	if err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	st.Config = cfg
+func install(st *Stream, cs *checkpointState) {
 	st.decay = cs.TrustDecay
 	if len(cs.Sources) > 0 {
 		st.state = newTrustState(len(cs.Sources), cs.DefaultTrust)
@@ -327,7 +318,6 @@ func install(st *Stream, cs *checkpointState) error {
 			Prediction:  cf.Prediction,
 		})
 	}
-	return nil
 }
 
 // parseCheckpoint strictly parses a checkpoint in one pass and verifies
@@ -459,32 +449,11 @@ func (r *jsonReader) fact(cf *checkpointFact) error {
 	})
 }
 
-// estimate rebuilds the stream configuration the checkpoint recorded.
-func (c *checkpointConfig) estimate() (IncEstimate, error) {
-	strategy, err := parseSelector(c.Strategy)
-	if err != nil {
-		return IncEstimate{}, err
-	}
-	return IncEstimate{
-		Strategy:     strategy,
-		InitialTrust: c.InitialTrust,
-		FullGroups:   c.FullGroups,
-		FlipDeltaH:   c.FlipDeltaH,
-		SoftAbsorb:   c.SoftAbsorb,
-		DeferBand:    c.DeferBand,
-	}, nil
-}
-
 // validate enforces every invariant a live stream maintains, so a restored
-// stream is indistinguishable from one that never stopped. The
-// configuration passes the same check every live batch does.
+// stream is indistinguishable from one that never stopped.
 func (cs *checkpointState) validate() error {
-	cfg, err := cs.Config.estimate()
-	if err != nil {
-		return err
-	}
-	if _, err := cfg.checkConfig(); err != nil {
-		return err
+	if cs.Config != streamConfig {
+		return fmt.Errorf("config %+v is not the scale profile every stream runs", cs.Config)
 	}
 	if len(cs.Sources) > 0 && bad01(cs.DefaultTrust) {
 		return fmt.Errorf("default trust %v out of [0, 1]", cs.DefaultTrust)

@@ -33,6 +33,10 @@ import (
 //     or an unpaired surrogate escape, which encoding/json would rewrite to
 //     U+FFFD.
 //
+// The state's "config" object is fixed: the writer emits streamConfigJSON,
+// the reader parses all six of its keys as encoding/json would, and
+// validate, which both decoders share, refuses any config but that one.
+//
 // The encoding/json implementation lives on in checkpoint_oracle_test.go
 // as the oracle the differential tests and fuzz targets hold this codec
 // to. The wire names below are the types' json tags; TestCodecKeysMatchTags

@@ -59,8 +59,6 @@ func TestCodecWritesOracleBytes(t *testing.T) {
 		}
 
 		st.mu.Lock()
-		st.Config.InitialTrust, st.Config.DeferBand = 1e-7, 1e-6
-		st.Config.FullGroups = true
 		st.state.count[0], st.state.count[1] = -3, math.MaxInt
 		for i, f := range boundaryFloats {
 			st.state.credit[i%len(st.state.credit)] = f
@@ -96,7 +94,6 @@ func TestCodecRefusesWhatOracleCannotEncode(t *testing.T) {
 	for i, poke := range []func(st *Stream){
 		func(st *Stream) { st.state.credit[0] = math.NaN() },
 		func(st *Stream) { st.decided[1].Probability = math.Inf(1) },
-		func(st *Stream) { st.Config.DeferBand = math.Inf(-1) },
 		func(st *Stream) { st.state.defaultTrust = math.NaN() },
 		func(st *Stream) { st.decided[0].Prediction = truth.Label(9) },
 	} {

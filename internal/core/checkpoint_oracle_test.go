@@ -31,16 +31,7 @@ type checkpointEnvelope struct {
 func oracleCheckpoint(st *Stream) ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	cs := checkpointState{
-		Config: checkpointConfig{
-			Strategy:     st.Config.Strategy.String(),
-			InitialTrust: st.Config.InitialTrust,
-			FullGroups:   st.Config.FullGroups,
-			FlipDeltaH:   st.Config.FlipDeltaH,
-			SoftAbsorb:   st.Config.SoftAbsorb,
-			DeferBand:    st.Config.DeferBand,
-		},
-	}
+	cs := checkpointState{Config: streamConfig}
 	if st.initDone {
 		cs.DefaultTrust = st.state.defaultTrust
 	}

@@ -59,27 +59,10 @@ func (s Selector) String() string {
 	}
 }
 
-// parseSelector inverts Selector.String; it is the checkpoint codec's hook
-// for serializing strategies by name instead of brittle integer codes.
-func parseSelector(s string) (Selector, error) {
-	switch s {
-	case "IncEstHeu":
-		return SelectHeu, nil
-	case "IncEstPS":
-		return SelectPS, nil
-	case "IncEstScale":
-		return SelectScale, nil
-	case "IncEstHybrid":
-		return SelectHybrid, nil
-	default:
-		return 0, fmt.Errorf("core: unknown selector %q", s)
-	}
-}
-
 // IncEstimate is the incremental corroboration algorithm (Algorithm 1).
 // The zero value is ready to use and runs IncEstHeu with the paper's
-// defaults. Runs and stream batches refuse an InitialTrust or DeferBand
-// that is NaN or outside [0, 1].
+// defaults. Runs refuse an InitialTrust or DeferBand that is NaN or
+// outside [0, 1].
 type IncEstimate struct {
 	// Strategy picks the fact-selection heuristic (default SelectHeu).
 	Strategy Selector
@@ -165,13 +148,10 @@ func (e *IncEstimate) RunDetailedWith(ctx context.Context, d *truth.Dataset, opt
 	return e.runEngine(ctx, d, init, opts)
 }
 
-// checkConfig refuses a configuration that no run can use and no
-// checkpoint can restore: an unknown strategy, or an initial trust or
-// defer band that is NaN or outside [0, 1]. Otherwise it returns σ0(S),
-// the initial trust with 0 resolved to the paper's default of 0.9. Batch
-// runs, every stream batch and every restored checkpoint go through it,
-// so a stream never absorbs a configuration that its own checkpoint would
-// refuse.
+// checkConfig refuses a configuration that no run can use: an unknown
+// strategy, or an initial trust or defer band that is NaN or outside
+// [0, 1]. Otherwise it returns σ0(S), the initial trust with 0 resolved to
+// the paper's default of 0.9.
 func (e *IncEstimate) checkConfig() (init float64, err error) {
 	if e.Strategy < SelectHeu || e.Strategy > SelectHybrid {
 		return 0, fmt.Errorf("unknown selector %d", int(e.Strategy))

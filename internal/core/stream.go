@@ -47,10 +47,6 @@ import (
 // boundary, which is exactly the state Checkpoint snapshots; cancellation
 // can never produce a half-absorbed, un-checkpointable trust state.
 type Stream struct {
-	// Config is applied to every batch; the zero value is the scale
-	// profile, which suits open-ended streams.
-	Config IncEstimate
-
 	// symtab is the stream's source symbol table (truth.Interner): names
 	// live here once, and every other structure — trust accumulators, vote
 	// columns, checkpoints — moves dense uint32 IDs. Interning order defines
@@ -145,14 +141,16 @@ type BatchVote struct {
 	Vote   truth.Vote
 }
 
-// NewShardedStream returns an empty stream using the scale profile that
-// decides each batch's groups across the given number of shards. Shard
-// counts below 1 are clamped to 1 (a sequential stream).
+// NewShardedStream returns an empty stream that decides each batch's
+// groups across the given number of shards. Shard counts below 1 are
+// clamped to 1 (a sequential stream). Every stream runs the scale profile
+// (NewScale), which suits open-ended streams: sources start at the
+// paper's default trust of 0.9, and outcomes are absorbed normalized.
 func NewShardedStream(shards int) *Stream {
 	if shards < 1 {
 		shards = 1
 	}
-	return &Stream{Config: *NewScale(), symtab: truth.NewInterner(), shards: shards}
+	return &Stream{symtab: truth.NewInterner(), shards: shards}
 }
 
 // Shards returns the configured shard count.
@@ -308,10 +306,6 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	if err := validateBatch(votes); err != nil {
 		return nil, err
 	}
-	init, err := st.Config.checkConfig()
-	if err != nil {
-		return nil, fmt.Errorf("core: batch rejected: %w", err)
-	}
 	// Snapshot for rollback: everything the pipeline mutates before the
 	// point of no return is the symbol table and the trust-state arrays.
 	preSources, preInit := st.symtab.Len(), st.initDone
@@ -336,7 +330,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	d := b.Build()
 
 	if !st.initDone {
-		st.state = newTrustState(0, init)
+		st.state = newTrustState(0, 0.9)
 		if st.decay != 0 {
 			st.state.enableDecay(st.decay)
 		}
@@ -402,7 +396,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	for _, g := range groups {
 		p := final[g.ord]
 		facts := g.take(g.size())
-		st.state.absorb(g.votes, outcome(p, st.Config.SoftAbsorb), len(facts))
+		st.state.absorb(g.votes, score.Normalize(p), len(facts))
 		for _, f := range facts {
 			sf := StreamFact{
 				Name:        d.FactName(f),
@@ -438,15 +432,13 @@ func (st *Stream) decideGroup(g *group, trust []float64) (raw, final float64) {
 	st.panics.Fire(g.signature)
 	p := score.Corrob(g.votes, trust)
 	raw, final = p, p
-	if st.Config.Strategy == SelectScale || st.Config.Strategy == SelectHeu {
-		// Backed-by-positive protection and strict tie handling, as
-		// in the scale profile's batch rounds.
-		if p <= truth.Threshold && !g.conflicted() && g.backedByPositive(trust) {
-			final = truth.Threshold // confirmed by a positive backer
-			//lint:ignore floatexact the scale profile defines a conflicted group at exactly the threshold as undecided; an epsilon band would flip near-threshold decisions
-		} else if p == truth.Threshold && g.conflicted() {
-			final = nextBelowThreshold
-		}
+	// Backed-by-positive protection and strict tie handling, as in the
+	// scale profile's batch rounds.
+	if p <= truth.Threshold && !g.conflicted() && g.backedByPositive(trust) {
+		final = truth.Threshold // confirmed by a positive backer
+		//lint:ignore floatexact the scale profile defines a conflicted group at exactly the threshold as undecided; an epsilon band would flip near-threshold decisions
+	} else if p == truth.Threshold && g.conflicted() {
+		final = nextBelowThreshold
 	}
 	return raw, final
 }

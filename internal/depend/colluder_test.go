@@ -31,7 +31,7 @@ func colluderScenario(t *testing.T, copiers []synth.CopierConfig, seed int64) (*
 		t.Fatal(err)
 	}
 	d := w.Dataset()
-	m, err := Score(d, oracleResult(d), Options{})
+	m, err := Score(d, oracleResult(d))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,42 +22,6 @@ import (
 	"corroborate/internal/truth"
 )
 
-// Options tunes the dependence detector. Zero values give Dong et al.'s
-// flavor of priors.
-type Options struct {
-	// ErrorRate ε is the assumed probability an independent source is
-	// wrong about a fact; 0 means 0.2.
-	ErrorRate float64
-	// CopyRate c is the assumed probability a copier copies any given
-	// fact; 0 means 0.8.
-	CopyRate float64
-	// Prior α is the prior probability that a pair of sources is
-	// dependent; 0 means 0.2.
-	Prior float64
-}
-
-func (o Options) withDefaults() (Options, error) {
-	if o.ErrorRate == 0 {
-		o.ErrorRate = 0.2
-	}
-	if o.CopyRate == 0 {
-		o.CopyRate = 0.8
-	}
-	if o.Prior == 0 {
-		o.Prior = 0.2
-	}
-	if o.ErrorRate <= 0 || o.ErrorRate >= 1 {
-		return o, fmt.Errorf("depend: error rate %v out of (0, 1)", o.ErrorRate)
-	}
-	if o.CopyRate <= 0 || o.CopyRate >= 1 {
-		return o, fmt.Errorf("depend: copy rate %v out of (0, 1)", o.CopyRate)
-	}
-	if o.Prior <= 0 || o.Prior >= 1 {
-		return o, fmt.Errorf("depend: prior %v out of (0, 1)", o.Prior)
-	}
-	return o, nil
-}
-
 // Matrix is a symmetric pairwise dependence matrix; Matrix[i][j] is the
 // posterior probability that sources i and j are dependent.
 type Matrix [][]float64
@@ -81,22 +45,23 @@ type Matrix [][]float64
 // Weighting the copying evidence by the result's probability rather than
 // its thresholded prediction keeps the detector stable when the bootstrap
 // verdicts are still uncertain (ties).
-func Score(d *truth.Dataset, r *truth.Result, opts Options) (Matrix, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+//
+// The model's rates are Dong et al.'s flavor of priors: an independent
+// source is wrong about a fact with probability ε = 0.2, a copier copies
+// any given fact with probability c = 0.8, and a pair of sources is
+// dependent a priori with probability α = 0.2.
+func Score(d *truth.Dataset, r *truth.Result) (Matrix, error) {
 	if len(r.Predictions) != d.NumFacts() {
 		return nil, fmt.Errorf("depend: result shaped for %d facts, dataset has %d", len(r.Predictions), d.NumFacts())
 	}
 	n := d.NumSources()
-	eps, c := opts.ErrorRate, opts.CopyRate
-	// withDefaults has validated all three rates into the open unit interval,
-	// so every log/division argument below is strictly positive.
+	eps, c, prior := 0.2, 0.8, 0.2
+	// All three rates lie in the open unit interval, so every log/division
+	// argument below is strictly positive.
 	invariant.OpenUnit("depend error rate", eps)
 	invariant.OpenUnit("depend copy rate", c)
-	invariant.OpenUnit("depend prior", opts.Prior)
-	priorOdds := math.Log(opts.Prior / (1 - opts.Prior))
+	invariant.OpenUnit("depend prior", prior)
+	priorOdds := math.Log(prior / (1 - prior))
 
 	// Per-fact log-likelihood ratios P(obs|dep)/P(obs|indep). Shared
 	// errors are the copying signature (independent sources each err on
@@ -175,21 +140,16 @@ func (m Matrix) Weights() []float64 {
 // are needed in general: the unweighted bootstrap can deem a clique's
 // shared errors true (ties resolve true), which makes honest dissenters
 // look like co-erring copiers for one round until the verdicts flip.
-type Voting struct {
-	// Options tunes the dependence model.
-	Options Options
-	// Rounds is the number of voting rounds (with dependence re-scored
-	// between rounds); 0 means 3.
-	Rounds int
-}
+type Voting struct{}
 
 // Name implements engine.Method.
 func (Voting) Name() string { return "DependVoting" }
 
-// RunWith implements engine.Method: Options.MaxIter overrides the round
-// count (dependence is re-scored between rounds, never after the last).
+// RunWith implements engine.Method: Options.MaxIter overrides the default
+// of 3 rounds (dependence is re-scored between rounds, never after the
+// last).
 func (v Voting) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	rounds := engine.OrInt(v.Rounds, 3)
+	rounds := 3
 	cfg := opts.Resolve(ctx, engine.Defaults{MaxIter: rounds})
 	if cfg.Capped {
 		rounds = cfg.MaxIter
@@ -230,7 +190,7 @@ func (v Voting) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Optio
 			return engine.NoDelta, true, nil
 		}
 		var err error
-		m, err = Score(d, r, v.Options)
+		m, err = Score(d, r)
 		if err != nil {
 			return 0, false, err
 		}

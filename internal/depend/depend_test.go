@@ -58,7 +58,7 @@ func oracleResult(d *truth.Dataset) *truth.Result {
 
 func TestScoreFlagsTheCopier(t *testing.T) {
 	d := copierWorld()
-	m, err := Score(d, oracleResult(d), Options{})
+	m, err := Score(d, oracleResult(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestScoreFlagsTheCopier(t *testing.T) {
 
 func TestScoreBounds(t *testing.T) {
 	d := copierWorld()
-	m, err := Score(d, oracleResult(d), Options{})
+	m, err := Score(d, oracleResult(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,21 +102,10 @@ func TestScoreBounds(t *testing.T) {
 
 func TestScoreOptionValidation(t *testing.T) {
 	d := copierWorld()
-	r := oracleResult(d)
-	bad := []Options{
-		{ErrorRate: 1.5},
-		{CopyRate: -1},
-		{Prior: 2},
-	}
-	for i, o := range bad {
-		if _, err := Score(d, r, o); err == nil {
-			t.Errorf("case %d: invalid options must be rejected", i)
-		}
-	}
 	short := truth.NewResult("short", d)
 	short.FactProb = short.FactProb[:3]
 	short.Predictions = short.Predictions[:3]
-	if _, err := Score(d, short, Options{}); err == nil {
+	if _, err := Score(d, short); err == nil {
 		t.Error("mis-shaped result must be rejected")
 	}
 }

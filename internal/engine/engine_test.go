@@ -217,15 +217,6 @@ func TestResolvePrecedence(t *testing.T) {
 	}
 }
 
-func TestOrHelpers(t *testing.T) {
-	if OrInt(0, 100) != 100 || OrInt(3, 100) != 3 {
-		t.Error("OrInt broken")
-	}
-	if !approx(OrFloat(0, 1e-9), 1e-9) || !approx(OrFloat(0.5, 1e-9), 0.5) {
-		t.Error("OrFloat broken")
-	}
-}
-
 func TestMaxDelta(t *testing.T) {
 	if d := MaxDelta([]float64{1, 2, 3}, []float64{1, 2.5, 2}); !approx(d, 1) {
 		t.Errorf("MaxDelta = %v, want 1", d)

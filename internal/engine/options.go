@@ -103,21 +103,3 @@ func (o Options) Resolve(ctx context.Context, def Defaults) Config {
 	}
 	return cfg
 }
-
-// OrInt resolves a "0 means default" struct field: it returns v unless v
-// is zero, in which case def. Run-time overrides belong in Options, which
-// can express an explicit zero.
-func OrInt(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-// OrFloat is OrInt for float64 fields.
-func OrFloat(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
-}

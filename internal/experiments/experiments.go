@@ -423,7 +423,7 @@ func Table6(o Options) (*Table, error) {
 		if _, err := o.run(m, w.Dataset); err != nil {
 			return nil, fmt.Errorf("experiments: timing %s: %w", m.Name(), err)
 		}
-		t.Rows = append(t.Rows, []string{m.Name(), time.Since(start).Round(time.Millisecond).String()})
+		t.Rows = append(t.Rows, []string{m.Name(), time.Since(start).Round(time.Microsecond).String()})
 	}
 	return t, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func quick() Options { return Options{Seed: 2, Quick: true} }
@@ -67,6 +68,21 @@ func TestTable2MatchesPaperExactly(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Errorf("methods missing from Table 2: %v", want)
+	}
+}
+
+// TestTable6TimesRankable: every time cell of the quick Table 6 is a
+// positive duration, so the table ranks even the methods that finish in
+// well under a millisecond.
+func TestTable6TimesRankable(t *testing.T) {
+	tab, err := Table6(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tab.Rows {
+		if d, err := time.ParseDuration(row[1]); err != nil || d <= 0 {
+			t.Errorf("%s took %q, want a positive duration (%v)", row[0], row[1], err)
+		}
 	}
 }
 

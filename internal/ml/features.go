@@ -46,19 +46,17 @@ type Classifier interface {
 	PredictProb(x []float64) float64
 }
 
-// CrossValidateWith runs stratified k-fold cross-validation over the
-// dataset's golden facts: each golden fact is predicted by a classifier
-// trained on the other folds. Facts outside the golden set keep
-// probability 0.5, and the returned result carries the method name. Each
-// fold is one driver round (cancellable at fold boundaries, reported to
-// Observers), Options.Seed overrides the fold-shuffle and classifier seed,
-// and Options.MaxIter caps how many folds run (capped-out folds keep their
-// test facts at probability 0.5). The classifier factory receives the
-// resolved seed so seeded learners stay on the run's RNG stream.
-func CrossValidateWith(name string, d *truth.Dataset, ctx context.Context, opts engine.Options, folds int, seed int64, newClassifier func(seed int64) Classifier) (*truth.Result, error) {
-	if folds < 2 {
-		return nil, fmt.Errorf("ml: need at least 2 folds, got %d", folds)
-	}
+// CrossValidateWith runs stratified 10-fold cross-validation over the
+// dataset's golden facts (one fold per fact when there are fewer): each
+// golden fact is predicted by a classifier trained on the other folds.
+// Facts outside the golden set keep probability 0.5, and the returned
+// result carries the method name. Each fold is one driver round
+// (cancellable at fold boundaries, reported to Observers), Options.Seed
+// overrides the fold-shuffle and classifier seed, and Options.MaxIter caps
+// how many folds run (capped-out folds keep their test facts at
+// probability 0.5). The classifier factory receives the resolved seed so
+// seeded learners stay on the run's RNG stream.
+func CrossValidateWith(name string, d *truth.Dataset, ctx context.Context, opts engine.Options, seed int64, newClassifier func(seed int64) Classifier) (*truth.Result, error) {
 	var pos, negs []int
 	for _, f := range d.Golden() {
 		switch d.Label(f) {
@@ -72,6 +70,7 @@ func CrossValidateWith(name string, d *truth.Dataset, ctx context.Context, opts 
 		return nil, fmt.Errorf("ml: cross-validation needs both classes in the golden set (%d true, %d false)", len(pos), len(negs))
 	}
 	total := len(pos) + len(negs)
+	folds := 10
 	if folds > total {
 		folds = total
 	}

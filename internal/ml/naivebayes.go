@@ -13,11 +13,9 @@ import (
 // features: each source's vote (affirm / deny / silent) is an independent
 // categorical feature given the fact's truth. A third classical Weka-style
 // baseline next to SMO and Logistic; like them it can exploit the missing
-// votes the corroboration methods ignore.
+// votes the corroboration methods ignore. Every cell carries a Laplace
+// pseudo-count of 1.
 type NaiveBayes struct {
-	// Smoothing is the Laplace pseudo-count per cell; 0 means 1.
-	Smoothing float64
-
 	classLogPrior [2]float64      // [false, true]
 	logLik        [][2][3]float64 // per feature, class, vote-bucket
 }
@@ -39,10 +37,7 @@ func (nb *NaiveBayes) Fit(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return fmt.Errorf("ml: naive bayes fit with %d examples, %d labels", len(x), len(y))
 	}
-	alpha := nb.Smoothing
-	if alpha == 0 {
-		alpha = 1
-	}
+	alpha := 1.0
 	dim := len(x[0])
 	for _, xi := range x {
 		if len(xi) != dim {
@@ -97,8 +92,6 @@ func (nb *NaiveBayes) PredictProb(x []float64) float64 {
 
 // MLNaiveBayes is the engine.Method wrapper: 10-fold CV over the golden set.
 type MLNaiveBayes struct {
-	// Folds is the cross-validation fold count; 0 means 10.
-	Folds int
 	// Seed drives the fold shuffle.
 	Seed int64
 }
@@ -109,8 +102,7 @@ func (MLNaiveBayes) Name() string { return "ML-NaiveBayes" }
 // RunWith implements engine.Method: Options.Seed overrides the fold
 // shuffle (counting is deterministic).
 func (m MLNaiveBayes) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	folds := engine.OrInt(m.Folds, 10)
-	return CrossValidateWith(m.Name(), d, ctx, opts, folds, m.Seed,
+	return CrossValidateWith(m.Name(), d, ctx, opts, m.Seed,
 		func(int64) Classifier { return &NaiveBayes{} })
 }
 

@@ -11,17 +11,10 @@ import (
 
 // SVM is a linear soft-margin support vector machine trained with the
 // simplified SMO algorithm (Platt 1998; Ng's simplified variant), standing
-// in for Weka's "SMO" baseline. The zero value uses C=1.
+// in for Weka's "SMO" baseline: soft-margin penalty C = 1, KKT tolerance
+// 1e-3, and training stops after 5 passes without a change or 200 passes
+// in all.
 type SVM struct {
-	// C is the soft-margin penalty; 0 means 1.
-	C float64
-	// Tol is the KKT violation tolerance; 0 means 1e-3.
-	Tol float64
-	// MaxPasses is the number of full passes without changes required to
-	// stop; 0 means 5.
-	MaxPasses int
-	// MaxIters hard-bounds the optimization; 0 means 200 passes.
-	MaxIters int
 	// Seed drives the partner-selection RNG (training is deterministic
 	// for a fixed seed).
 	Seed int64
@@ -41,22 +34,8 @@ func (s *SVM) Fit(x [][]float64, y []float64) error {
 			return fmt.Errorf("ml: SVM labels must be ±1, got %v", yi)
 		}
 	}
-	c := s.C
-	if c == 0 {
-		c = 1
-	}
-	tol := s.Tol
-	if tol == 0 {
-		tol = 1e-3
-	}
-	maxPasses := s.MaxPasses
-	if maxPasses == 0 {
-		maxPasses = 5
-	}
-	maxIters := s.MaxIters
-	if maxIters == 0 {
-		maxIters = 200
-	}
+	c, tol := 1.0, 1e-3
+	maxPasses, maxIters := 5, 200
 	n := len(x)
 	dim := len(x[0])
 	for _, xi := range x {
@@ -186,8 +165,6 @@ func (s *SVM) Margin(x []float64) float64 {
 // MLSVM is the engine.Method wrapper: 10-fold CV over the golden set with
 // the SMO-trained SVM, matching the paper's "ML-SVM (SMO)" row.
 type MLSVM struct {
-	// Folds is the cross-validation fold count; 0 means the paper's 10.
-	Folds int
 	// Seed drives fold shuffling and SMO partner selection.
 	Seed int64
 }
@@ -198,8 +175,7 @@ func (MLSVM) Name() string { return "ML-SVM (SMO)" }
 // RunWith implements engine.Method: Options.Seed overrides both the fold
 // shuffle and the SMO partner-selection stream.
 func (m MLSVM) RunWith(ctx context.Context, d *truth.Dataset, opts engine.Options) (*truth.Result, error) {
-	folds := engine.OrInt(m.Folds, 10)
-	return CrossValidateWith(m.Name(), d, ctx, opts, folds, m.Seed,
+	return CrossValidateWith(m.Name(), d, ctx, opts, m.Seed,
 		func(seed int64) Classifier { return &SVM{Seed: seed} })
 }
 

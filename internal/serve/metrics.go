@@ -15,7 +15,7 @@ type worldMetrics struct {
 	rejectedQueueFull atomic.Int64 // 429s: queue at capacity
 	rejectedReadOnly  atomic.Int64 // 503s: world degraded read-only
 	rejectedDraining  atomic.Int64 // 503s: admission closed for drain
-	rejectedInvalid   atomic.Int64 // 400s: stream rejected the batch atomically
+	rejectedInvalid   atomic.Int64 // 400s and 500s: stream rejected the batch atomically
 	expired           atomic.Int64 // requests that timed out awaiting acknowledgment
 
 	batches atomic.Int64 // acknowledged batches

@@ -334,6 +334,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrNotDurable):
 		// Applied in memory, checkpoint failed: honest non-ack.
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.As(err, new(*core.GroupPanicError)):
+		// A contained panic is a server bug, not an invalid batch; the
+		// stream rolled the batch back, so it left no trace.
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	default:
 		// Atomic rejection by the stream: the batch itself is invalid.
 		writeError(w, http.StatusBadRequest, "%v", err)

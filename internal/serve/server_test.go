@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"corroborate/internal/core"
+	"corroborate/internal/fault"
 )
 
 // newTestServer builds a Server over the given tenant configs and wraps it
@@ -339,6 +340,37 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
+	}
+}
+
+// TestServerContainedPanicIs500: a batch whose group decision panics on
+// every try is a server bug that the stream contained, not an invalid
+// batch: the client gets 500 rather than 400, and the rolled-back batch
+// leaves no trace.
+func TestServerContainedPanicIs500(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Tenants: []WorldConfig{{Name: "t"}}})
+	defer func() {
+		if err := srv.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	panics := fault.NewPanics()
+	panics.Arm("0:T", -1)
+	srv.World("t").stream.InjectPanics(panics)
+
+	resp, err := postIngest(ts, "t", []byte(`{"votes":[{"fact":"f","source":"s","vote":"T"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want %d", resp.StatusCode, http.StatusInternalServerError)
+	}
+	if n := panics.Fired("0:T"); n != 1 {
+		t.Fatalf("panic site fired %d times, want 1", n)
+	}
+	if snap := srv.World("t").Snapshot(); snap.Batches != 0 || len(snap.Facts) != 0 || len(snap.Trust) != 0 {
+		t.Fatalf("rejected batch left a trace: %d batches, %d facts, %d sources", snap.Batches, len(snap.Facts), len(snap.Trust))
 	}
 }
 

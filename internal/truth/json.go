@@ -83,7 +83,7 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	b := NewBuilder()
 	b.AddSources(in.Sources...)
 	var golden []int
-	anyGolden := false
+	goldenSeen := make(map[int]bool)
 	for i, jf := range in.Facts {
 		if jf.Name == "" {
 			return nil, fmt.Errorf("truth: JSON fact %d has no name", i)
@@ -113,12 +113,14 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 			}
 			b.Label(f, l)
 		}
-		if jf.Golden {
+		// A repeated fact re-interns the same index, as in ReadCSV; its
+		// golden membership must not duplicate (Validate rejects that).
+		if jf.Golden && !goldenSeen[f] {
+			goldenSeen[f] = true
 			golden = append(golden, f)
-			anyGolden = true
 		}
 	}
-	if anyGolden {
+	if len(golden) > 0 {
 		b.Golden(golden)
 	}
 	return b.Build(), nil

@@ -72,6 +72,24 @@ func TestReadJSONInternsUnlistedSources(t *testing.T) {
 	}
 }
 
+// TestReadJSONRepeatedGoldenFact: a fact listed twice re-interns one
+// index, as a repeated CSV row does, and joins the golden set once (a
+// FuzzReadJSON find: the dataset failed Validate with a duplicated
+// golden index).
+func TestReadJSONRepeatedGoldenFact(t *testing.T) {
+	in := `{"facts": [{"name": "r", "golden": true}, {"name": "r", "golden": true}]}`
+	d, err := ReadJSON(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d.NumFacts() != 1 || len(d.Golden()) != 1 {
+		t.Fatalf("%d facts, golden %v; want one fact, golden once", d.NumFacts(), d.Golden())
+	}
+}
+
 func TestReadJSONErrors(t *testing.T) {
 	cases := map[string]string{
 		"not json":      "nope",
