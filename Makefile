@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLogRecordCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/synth
 	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzIngestBody -fuzztime=$(FUZZTIME) ./internal/serve
 
 # robustness-smoke runs the accuracy-under-attack floors on the quick grid
 # (seconds): every registered method plus the decayed/undecayed stream over

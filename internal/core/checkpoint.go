@@ -455,8 +455,10 @@ func (cs *checkpointState) validate() error {
 	if cs.Config != streamConfig {
 		return fmt.Errorf("config %+v is not the scale profile every stream runs", cs.Config)
 	}
-	if len(cs.Sources) > 0 && bad01(cs.DefaultTrust) {
-		return fmt.Errorf("default trust %v out of [0, 1]", cs.DefaultTrust)
+	// Every stream starts its trust state at streamDefaultTrust, and the
+	// float round-trips bit-exactly, so any other bits were never written.
+	if len(cs.Sources) > 0 && math.Float64bits(cs.DefaultTrust) != math.Float64bits(streamDefaultTrust) {
+		return fmt.Errorf("default trust %v is not the %v every stream starts from", cs.DefaultTrust, streamDefaultTrust)
 	}
 	// A recorded decay factor must be a genuine λ ∈ (0, 1): SetTrustDecay
 	// normalizes both off switches (0 and 1) to an absent field, so a

@@ -189,6 +189,11 @@ func TestCheckpointRejectsInvalidState(t *testing.T) {
 		{"batch numbering gap", func(s string) string {
 			return rewriteFirstFact(s, func(cf *checkpointFact) { cf.Batch = 3 })
 		}, "batch"},
+		// Every stream starts its sources at the same default trust; one
+		// it never writes would decide a new source's facts differently.
+		{"foreign default trust", func(s string) string {
+			return strings.Replace(s, `"default_trust":0.9`, `"default_trust":0.3`, 1)
+		}, "default trust 0.3"},
 		{"decided without sources", func(s string) string {
 			var cs map[string]json.RawMessage
 			mustUnmarshal(s, &cs)
@@ -205,6 +210,14 @@ func TestCheckpointRejectsInvalidState(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			// The encoding/json oracle's decode, validated, refuses it too.
+			if cs, err := oracleParseCheckpoint(data); err == nil {
+				if err := cs.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("oracle-decoded state validates with %v, want an error mentioning %q", err, tc.want)
+				}
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("oracle error %q does not mention %q", err, tc.want)
 			}
 		})
 	}

@@ -236,23 +236,39 @@ func BenchmarkStream(b *testing.B) {
 	}
 }
 
-// agedStream is a stream aged like a long-lived tenant: 500 scenario
-// batches of 40 facts from 10 honest slots churning at 0.2 — ~2×10⁴
-// decided facts and ~10³ sources, a ~1.8 MB checkpoint. It is built once
-// per test binary and must not be fed further.
-var agedStream = sync.OnceValues(func() (*Stream, error) {
+// agedBatches is how many scenario batches age agedStream, and
+// agedScenario generates them and the batches after them: 40 facts per
+// batch from 10 honest slots churning at 0.2.
+const agedBatches = 500
+
+func agedScenario(batches int) ([][]BatchVote, error) {
 	world, err := synth.GenerateScenario(synth.ScenarioConfig{
-		Batches: 500, FactsPerBatch: 40, HonestSources: 10, ChurnRate: 0.2, Seed: 1,
+		Batches: batches, FactsPerBatch: 40, HonestSources: 10, ChurnRate: 0.2, Seed: 1,
 	})
 	if err != nil {
 		return nil, err
 	}
-	st := NewShardedStream(1)
-	for _, b := range world.Batches {
-		votes := make([]BatchVote, len(b.Votes))
-		for i, v := range b.Votes {
-			votes[i] = BatchVote{Fact: v.Fact, Source: v.Source, Vote: v.Vote}
+	out := make([][]BatchVote, len(world.Batches))
+	for b, batch := range world.Batches {
+		out[b] = make([]BatchVote, len(batch.Votes))
+		for i, v := range batch.Votes {
+			out[b][i] = BatchVote{Fact: v.Fact, Source: v.Source, Vote: v.Vote}
 		}
+	}
+	return out, nil
+}
+
+// agedStream is a stream aged like a long-lived tenant: agedBatches
+// scenario batches — ~2×10⁴ decided facts and ~10³ sources, a ~1.8 MB
+// checkpoint. It is built once per test binary and must not be fed
+// further.
+var agedStream = sync.OnceValues(func() (*Stream, error) {
+	batches, err := agedScenario(agedBatches)
+	if err != nil {
+		return nil, err
+	}
+	st := NewShardedStream(1)
+	for _, votes := range batches {
 		if _, err := st.AddBatch(votes); err != nil {
 			return nil, err
 		}
@@ -305,6 +321,35 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, report, err := NewCheckpointSink(path).Restore(1); err != nil || !report.Resumed {
 			b.Fatalf("restore: %+v, %v", report, err)
+		}
+	}
+}
+
+// BenchmarkStreamAged: one AddBatch on the aged stream, of the next of the
+// 40 scenario batches that follow its history — an ingest ack's share of
+// the stream. The stream is restored from its checkpoint, outside the
+// timer, before every run through the 40, so each batch meets the history
+// it follows.
+func BenchmarkStreamAged(b *testing.B) {
+	_, data := agedCheckpoint(b)
+	batches, err := agedScenario(agedBatches + 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := batches[agedBatches:]
+	var st *Stream
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(next) == 0 {
+			b.StopTimer()
+			if st, err = RestoreShardedStream(bytes.NewReader(data), 1); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := st.AddBatch(next[i%len(next)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

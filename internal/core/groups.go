@@ -49,15 +49,23 @@ func (g *group) prob(trust []float64) float64 {
 // groups, ordered deterministically by signature. Facts without any vote
 // form their own group (empty signature) and corroborate to 0.5.
 func buildGroups(d *truth.Dataset) []*group {
+	return groupPostings(d.NumFacts(), d.VotesOnFact)
+}
+
+// groupPostings partitions facts 0..n-1, whose posting lists votesOn
+// returns ordered by source index, into vote-signature groups ordered by
+// signature. A group shares the posting list of its first fact.
+func groupPostings(n int, votesOn func(f int) []truth.SourceVote) []*group {
 	bySig := make(map[string]*group)
 	buf := make([]byte, 0, 64)
-	for f := 0; f < d.NumFacts(); f++ {
-		buf = d.AppendSignature(buf[:0], f)
+	for f := 0; f < n; f++ {
+		votes := votesOn(f)
+		buf = truth.AppendVoteSignature(buf[:0], votes)
 		// The map lookup on string(buf) does not allocate; only a newly
 		// discovered signature pays for the string conversion.
 		g, ok := bySig[string(buf)]
 		if !ok {
-			g = &group{signature: string(buf), votes: d.VotesOnFact(f)}
+			g = &group{signature: string(buf), votes: votes}
 			bySig[g.signature] = g
 		}
 		g.facts = append(g.facts, f)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -36,9 +38,7 @@ import (
 // Concurrency contract: a Stream is safe for concurrent use. AddBatch,
 // Trust, Decided, Batches, and Checkpoint serialize on an internal mutex;
 // concurrent AddBatch calls are applied in lock-acquisition order, so
-// determinism across runs is up to the caller's batch ordering. (Earlier
-// versions documented Stream as not safe for concurrent use; the lock is
-// new, the single-threaded behaviour is unchanged.)
+// determinism across runs is up to the caller's batch ordering.
 //
 // AddBatch is atomic: a rejected batch — whether refused by validation,
 // cancelled through its context, or aborted by a contained group panic —
@@ -60,6 +60,12 @@ type Stream struct {
 
 	// decided accumulates every fact this stream has corroborated.
 	decided []StreamFact
+
+	// trust is the trust each batch's groups are decided under, indexed by
+	// source ID. A batch refreshes only its own voters' entries, so the
+	// rest may be stale; it grows with the symbol table and is not part of
+	// the stream's state.
+	trust []float64
 
 	// last describes the newest batch for its checkpoint-log record
 	// (batchRecord); it is not part of the stream's state.
@@ -140,6 +146,11 @@ type BatchVote struct {
 	Source string
 	Vote   truth.Vote
 }
+
+// streamDefaultTrust is the trust every stream gives a source before it
+// has evaluated a fact: the paper's default of 0.9, as in the scale
+// profile. Checkpoints record it, and a restore refuses any other value.
+const streamDefaultTrust = 0.9
 
 // NewShardedStream returns an empty stream that decides each batch's
 // groups across the given number of shards. Shard counts below 1 are
@@ -310,27 +321,10 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	// point of no return is the symbol table and the trust-state arrays.
 	preSources, preInit := st.symtab.Len(), st.initDone
 
-	// Build a dataset for the batch with globally interned sources. The
-	// batch builder registers names in symbol-table ID order, so the
-	// builder's source indices coincide with the global uint32 IDs.
-	b := truth.NewBuilder()
-	for i := 0; i < preSources; i++ {
-		b.Source(st.symtab.Name(uint32(i)))
-	}
-	voters := make([]uint32, 0, len(votes))
-	for _, v := range votes {
-		known := st.symtab.Len()
-		id := st.symtab.Intern(v.Source)
-		if int(id) == known { // first sight: register with the batch builder too
-			b.Source(v.Source)
-		}
-		b.Vote(b.Fact(v.Fact), int(id), v.Vote)
-		voters = append(voters, id)
-	}
-	d := b.Build()
+	post, voters := st.postBatch(votes)
 
 	if !st.initDone {
-		st.state = newTrustState(0, 0.9)
+		st.state = newTrustState(0, streamDefaultTrust)
 		if st.decay != 0 {
 			st.state.enableDecay(st.decay)
 		}
@@ -344,10 +338,17 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 			st.state.fcount = append(st.state.fcount, 0)
 		}
 	}
+	// The batch-entry trust of this batch's voters; every other entry of
+	// st.trust may be stale, and no group of the batch reads one.
+	if n := st.symtab.Len(); len(st.trust) < n {
+		st.trust = slices.Grow(st.trust, n-len(st.trust))[:n]
+	}
+	for _, s := range voters {
+		st.trust[s] = st.state.trust(int(s))
+	}
 
-	groups := buildGroups(d)
-	trust := st.state.vector()
-	raw, final, err := st.decideGroups(ctx, groups, trust)
+	groups := groupPostings(len(post.names), post.votesOn)
+	raw, final, err := st.decideGroups(ctx, groups, st.trust)
 	if err == nil {
 		// Point of no return: beyond this check the outcomes are absorbed
 		// unconditionally, landing the stream on the next batch boundary.
@@ -391,7 +392,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	})
 
 	batch := st.batchesLocked()
-	st.last = batchDelta{end: batch + 1, sources: preSources, voters: ascendingUnique(voters), facts: len(st.decided)}
+	st.last = batchDelta{end: batch + 1, sources: preSources, voters: voters, facts: len(st.decided)}
 	var out []StreamFact
 	for _, g := range groups {
 		p := final[g.ord]
@@ -399,7 +400,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 		st.state.absorb(g.votes, score.Normalize(p), len(facts))
 		for _, f := range facts {
 			sf := StreamFact{
-				Name:        d.FactName(f),
+				Name:        post.names[f],
 				Batch:       batch,
 				Probability: p,
 				Prediction:  truth.LabelOf(p, truth.Threshold),
@@ -411,23 +412,75 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	return out, nil
 }
 
-// ascendingUnique sorts ids and drops repeats, in place.
-func ascendingUnique(ids []uint32) []uint32 {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for _, id := range ids {
-		if len(out) == 0 || id != out[len(out)-1] {
-			out = append(out, id)
+// batchPostings is one batch's votes in the fact-major CSR layout of
+// truth.Dataset, with global source IDs: fact f's posting list is
+// arena[starts[f]:starts[f+1]], ordered by source ID, and names[f] is its
+// name. Facts are numbered in first-appearance order, as truth.Builder
+// numbers them, so the batch groups and signs exactly as a Dataset of the
+// same votes over the whole symbol table would, at a cost that depends on
+// the batch alone.
+type batchPostings struct {
+	names  []string
+	starts []int
+	arena  []truth.SourceVote
+}
+
+func (p *batchPostings) votesOn(f int) []truth.SourceVote {
+	return p.arena[p.starts[f]:p.starts[f+1]]
+}
+
+// postBatch interns every vote's source into the symbol table and lays
+// the batch out as postings. It also returns the batch's voters: the
+// ascending IDs of the sources that voted in it. validateBatch has refused
+// repeated (fact, source) pairs and Absent votes, so a posting list holds
+// exactly the T/F votes Dataset.VotesOnFact would, and no last-write-wins
+// pass is needed.
+func (st *Stream) postBatch(votes []BatchVote) (p batchPostings, voters []uint32) {
+	factOf := make(map[string]int, len(votes))
+	facts := make([]int, len(votes))
+	ids := make([]uint32, len(votes))
+	p.names = make([]string, 0, len(votes))
+	for i, v := range votes {
+		f, ok := factOf[v.Fact]
+		if !ok {
+			f = len(p.names)
+			factOf[v.Fact] = f
+			p.names = append(p.names, v.Fact)
 		}
+		facts[i] = f
+		ids[i] = st.symtab.Intern(v.Source)
 	}
-	return out
+	// Counting sort by fact. After the prefix sums starts[f] is where fact
+	// f's segment ends; filling each segment back to front walks starts[f]
+	// down to where it begins.
+	n := len(p.names)
+	p.starts = make([]int, n+1)
+	for _, f := range facts {
+		p.starts[f]++
+	}
+	for f := 1; f < n; f++ {
+		p.starts[f] += p.starts[f-1]
+	}
+	p.starts[n] = len(votes)
+	p.arena = make([]truth.SourceVote, len(votes))
+	for i := len(votes) - 1; i >= 0; i-- {
+		f := facts[i]
+		p.starts[f]--
+		p.arena[p.starts[f]] = truth.SourceVote{Source: int(ids[i]), Vote: votes[i].Vote}
+	}
+	for f := 0; f < n; f++ {
+		slices.SortFunc(p.votesOn(f), func(a, b truth.SourceVote) int { return cmp.Compare(a.Source, b.Source) })
+	}
+	slices.Sort(ids)
+	return p, slices.Compact(ids)
 }
 
 // decideGroup corroborates one group under the frozen batch-entry trust.
 // It returns the raw Eq. 5 probability (the ordering key) and the decided
 // probability after the scale profile's protections. The function is pure
 // in (g, trust) — it never reads mutable stream state — so shards may call
-// it concurrently.
+// it concurrently. It reads trust[sv.Source] only for the group's own
+// votes, so a batch need only refresh its voters' entries of the vector.
 func (st *Stream) decideGroup(g *group, trust []float64) (raw, final float64) {
 	st.panics.Fire(g.signature)
 	p := score.Corrob(g.votes, trust)

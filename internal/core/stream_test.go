@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -305,5 +307,56 @@ func TestStreamConcurrentUse(t *testing.T) {
 	}
 	if len(seen) != writers*batchesPer {
 		t.Fatalf("decided %d facts, want %d", len(seen), writers*batchesPer)
+	}
+}
+
+// TestAddBatchCostIndependentOfSources: without trust decay, the bytes one
+// AddBatch allocates depend on the batch, not on how many sources the
+// stream has seen — the same batch shape allocates within 5% of the same
+// bytes on a tenant of 10³ sources and on one of 10⁵. Each figure is the
+// median over 11 batches, so that no growth step of the decided log
+// decides it.
+func TestAddBatchCostIndependentOfSources(t *testing.T) {
+	allocated := func(sources int) uint64 {
+		st := NewShardedStream(1)
+		// A few wide batches: each fact is affirmed by 10 sources that
+		// vote on nothing else, 10⁴ new sources a batch.
+		const wide = 10000
+		for first := 0; first < sources; first += wide {
+			var votes []BatchVote
+			for s := first; s < min(first+wide, sources); s++ {
+				votes = append(votes, BatchVote{Fact: fmt.Sprintf("w%06d", s/10), Source: fmt.Sprintf("w%06d", s), Vote: truth.Affirm})
+			}
+			if _, err := st.AddBatch(votes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first same-shaped batch interns its six sources, which may
+		// grow the per-source arrays by a copy of all of them; it is not
+		// measured.
+		var sizes []uint64
+		var ms runtime.MemStats
+		for b := 0; b < 12; b++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if _, err := st.AddBatch(sameShapedBatch(b)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			if b > 0 {
+				sizes = append(sizes, ms.TotalAlloc-before)
+			}
+		}
+		slices.Sort(sizes)
+		return sizes[len(sizes)/2]
+	}
+	small, large := allocated(1000), allocated(100000)
+	if small == 0 {
+		t.Fatal("AddBatch allocated nothing")
+	}
+	diff := (float64(large) - float64(small)) / float64(small)
+	t.Logf("AddBatch allocates %d bytes with 10³ sources, %d with 10⁵ (%+.2f%%)", small, large, 100*diff)
+	if diff <= -0.05 || diff >= 0.05 {
+		t.Fatalf("AddBatch allocates %d bytes with 10³ sources but %d with 10⁵", small, large)
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -303,6 +304,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "parsing ingest body: %v", err)
+		return
+	}
+	// A body is one request object: anything after it but whitespace —
+	// a second batch, a stray byte — refuses the whole body, so no part of
+	// it is applied and acknowledged while the rest is dropped.
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		writeError(w, http.StatusBadRequest, "parsing ingest body: data after the request object")
 		return
 	}
 	votes := make([]core.BatchVote, len(req.Votes))

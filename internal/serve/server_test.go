@@ -321,6 +321,14 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{"duplicate vote on a fact named like the non-durable error", func() (*http.Response, error) {
 			return postIngest(ts, "t", []byte(`{"votes":[{"fact":"listing not durable","source":"s","vote":"T"},{"fact":"listing not durable","source":"s","vote":"T"}]}`))
 		}, http.StatusBadRequest},
+		// A body holds one request object: a second batch or trailing
+		// bytes refuse the whole body, and nothing of it is applied.
+		{"second batch after the first", func() (*http.Response, error) {
+			return postIngest(ts, "t", []byte(`{"votes":[{"fact":"x","source":"s","vote":"T"}]}{"votes":[{"fact":"y","source":"s","vote":"T"}]}`))
+		}, http.StatusBadRequest},
+		{"trailing garbage", func() (*http.Response, error) {
+			return postIngest(ts, "t", []byte(`{"votes":[{"fact":"x","source":"s","vote":"T"}]} trailing garbage {`))
+		}, http.StatusBadRequest},
 		{"bad offset", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v1/tenants/t/query?offset=-1")
 		}, http.StatusBadRequest},
@@ -340,6 +348,9 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
+	}
+	if n := srv.World("t").stream.Batches(); n != 0 {
+		t.Fatalf("rejected bodies left %d batches applied", n)
 	}
 }
 

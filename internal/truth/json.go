@@ -2,6 +2,7 @@ package truth
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -79,6 +80,9 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("truth: decoding JSON dataset: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("truth: decoding JSON dataset: data after the dataset object")
 	}
 	b := NewBuilder()
 	b.AddSources(in.Sources...)

@@ -97,6 +97,8 @@ func TestReadJSONErrors(t *testing.T) {
 		"unnamed fact":  `{"facts": [{"votes": {"a": "T"}}]}`,
 		"bad vote":      `{"facts": [{"name": "x", "votes": {"a": "Q"}}]}`,
 		"bad label":     `{"facts": [{"name": "x", "votes": {"a": "T"}, "label": "perhaps"}]}`,
+		"trailing data": `{"facts": [{"name": "a", "votes": {"s": "T"}}]} trailing garbage {`,
+		"two datasets":  `{"facts": [{"name": "a", "votes": {"s": "T"}}]}{"facts": []}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadJSON(strings.NewReader(in)); err == nil {

@@ -309,14 +309,23 @@ func (d *Dataset) Signature(f int) string {
 // whole dataset (signature construction dominates group building on large
 // crawls — see BenchmarkBuildGroups).
 func (d *Dataset) AppendSignature(buf []byte, f int) []byte {
-	start, end := d.factStarts[f], d.factStarts[f+1]
-	for i := start; i < end; i++ {
-		if i > start {
+	return AppendVoteSignature(buf, d.VotesOnFact(f))
+}
+
+// AppendVoteSignature appends the signature of one posting list, ordered
+// by source index as VotesOnFact returns it, to buf and returns the
+// extended slice: the source indices in decimal, each with its vote, e.g.
+// "2:T 4:T". It is the one signature encoder, so a posting list built
+// outside a Dataset (a stream batch's) signs exactly as the same votes
+// would inside one.
+func AppendVoteSignature(buf []byte, votes []SourceVote) []byte {
+	for i, sv := range votes {
+		if i > 0 {
 			buf = append(buf, ' ')
 		}
-		buf = strconv.AppendInt(buf, int64(d.voteSources[i]), 10)
+		buf = strconv.AppendInt(buf, int64(sv.Source), 10)
 		buf = append(buf, ':')
-		switch v := d.voteValues[i]; v {
+		switch v := sv.Vote; v {
 		case Affirm:
 			buf = append(buf, 'T')
 		case Deny:
